@@ -8,8 +8,8 @@ set -eu
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace (facade, crate and vendor-shim suites)"
+cargo test -q --workspace
 
 echo "==> cargo test -q --features check (numeric guards as hard errors)"
 cargo test -q --features check

@@ -369,14 +369,12 @@ impl<'a, M: LossModel> FederatedTrainer<'a, M> {
     /// recorded from its per-round callback and timing is patched in from
     /// the virtual clock afterwards.
     fn run_networked(&self, w0: Vec<f64>, opts: &NetRunnerOptions) -> Result<History, FedError> {
-        assert!(
-            self.cfg.participation >= 1.0,
-            "the networked backend requires full participation; use Sequential/Parallel"
-        );
-        assert!(
-            !self.cfg.algorithm.needs_global_gradient(),
-            "FSVRG's extra gradient exchange is not modelled by the networked backend"
-        );
+        if self.cfg.participation < 1.0 {
+            return Err(FedError::NetworkPartialParticipation);
+        }
+        if self.cfg.algorithm.needs_global_gradient() {
+            return Err(FedError::NetworkGlobalGradient);
+        }
         let weights = server::weights_from_sizes(
             &self.devices.iter().map(Device::samples).collect::<Vec<_>>(),
         );
@@ -492,13 +490,23 @@ impl<'a, M: LossModel> FederatedTrainer<'a, M> {
             Self::flush_monitor(monitor);
         }
 
-        // Patch per-round simulated time and traffic into the records.
+        // Patch per-round simulated time, traffic and gradient work into
+        // the records (the callback saw none of them).
         let mut cumulative = Vec::with_capacity(report.round_durations.len());
         let mut acc = 0.0;
         for d in &report.round_durations {
             acc += d;
             cumulative.push(acc);
         }
+        let mut evals = RunningTotal::new();
+        let cumulative_evals: Vec<u64> = report
+            .round_grad_evals
+            .iter()
+            .map(|&e| {
+                evals.add(e);
+                evals.get()
+            })
+            .collect();
         let total_bytes = report.clock.bytes_up().saturating_add(report.clock.bytes_down());
         let per_round_bytes = if report.rounds_run > 0 {
             total_bytes / report.rounds_run as u64
@@ -509,6 +517,10 @@ impl<'a, M: LossModel> FederatedTrainer<'a, M> {
             if rec.round >= 1 && rec.round <= cumulative.len() {
                 rec.sim_time = cumulative[rec.round - 1];
                 rec.bytes = per_round_bytes.saturating_mul(rec.round as u64);
+            }
+            let upto = rec.round.checked_sub(1).and_then(|r| cumulative_evals.get(r));
+            if let Some(&evals) = upto {
+                rec.grad_evals = evals;
             }
         }
 
@@ -701,12 +713,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not modelled by the networked backend")]
+    fn networked_grad_evals_match_sequential() {
+        let (devices, test, model) = federation(13);
+        let cfg = base_cfg(Algorithm::FedProxVr(EstimatorKind::Svrg))
+            .with_rounds(4)
+            .with_eval_every(1);
+        let run = |cfg: FedConfig| {
+            let h = FederatedTrainer::new(&model, &devices, &test, cfg).run().expect("run");
+            h.records.iter().map(|r| (r.round, r.grad_evals)).collect::<Vec<_>>()
+        };
+        let seq = run(cfg.clone());
+        let net = run(cfg.with_runner(RunnerKind::Network(NetRunnerOptions::default())));
+        assert_eq!(seq, net, "networked History.grad_evals drifted from Sequential");
+        assert!(net.last().is_some_and(|&(_, e)| e > 0));
+    }
+
+    #[test]
     fn networked_rejects_fsvrg() {
         let (devices, test, model) = federation(11);
         let cfg = base_cfg(Algorithm::Fsvrg)
             .with_runner(RunnerKind::Network(NetRunnerOptions::default()));
-        let _ = FederatedTrainer::new(&model, &devices, &test, cfg).run().expect("run");
+        let err = FederatedTrainer::new(&model, &devices, &test, cfg)
+            .run()
+            .expect_err("FSVRG must be refused by the networked backend");
+        assert_eq!(err, FedError::NetworkGlobalGradient);
+        assert!(err.to_string().contains("not modelled by the networked backend"));
     }
 
     #[test]
@@ -747,13 +778,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "full participation")]
     fn networked_rejects_partial_participation() {
         let (devices, test, model) = federation(8);
         let cfg = base_cfg(Algorithm::FedAvg)
             .with_participation(0.5)
             .with_runner(RunnerKind::Network(NetRunnerOptions::default()));
-        let _ = FederatedTrainer::new(&model, &devices, &test, cfg).run().expect("run");
+        let err = FederatedTrainer::new(&model, &devices, &test, cfg)
+            .run()
+            .expect_err("partial participation must be refused by the networked backend");
+        assert_eq!(err, FedError::NetworkPartialParticipation);
+        assert!(err.to_string().contains("full participation"));
     }
 
     #[test]

@@ -26,6 +26,14 @@ pub enum FedError {
     /// populations lazily); drive the run through
     /// `fedprox_sim::SimEngine` with the same `FedConfig`.
     EventDrivenBackend,
+    /// The networked backend was asked for partial participation
+    /// (`FedConfig::participation < 1`); its actors always run every
+    /// device. Use `Sequential`/`Parallel`, or the event-driven engine's
+    /// samplers.
+    NetworkPartialParticipation,
+    /// The networked backend was asked to run FSVRG, whose extra
+    /// global-gradient exchange it does not model.
+    NetworkGlobalGradient,
 }
 
 impl fmt::Display for FedError {
@@ -41,6 +49,14 @@ impl fmt::Display for FedError {
                 "the event-driven backend is hosted by fedprox-sim's SimEngine, \
                  not FederatedTrainer"
             ),
+            FedError::NetworkPartialParticipation => write!(
+                f,
+                "the networked backend requires full participation; use Sequential/Parallel"
+            ),
+            FedError::NetworkGlobalGradient => write!(
+                f,
+                "FSVRG's extra gradient exchange is not modelled by the networked backend"
+            ),
         }
     }
 }
@@ -49,7 +65,10 @@ impl std::error::Error for FedError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             FedError::Net(e) => Some(e),
-            FedError::MissingGlobalGradient { .. } | FedError::EventDrivenBackend => None,
+            FedError::MissingGlobalGradient { .. }
+            | FedError::EventDrivenBackend
+            | FedError::NetworkPartialParticipation
+            | FedError::NetworkGlobalGradient => None,
         }
     }
 }

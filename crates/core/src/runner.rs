@@ -2,9 +2,12 @@
 //!
 //! Devices within a round are independent (Algorithm 1 runs them "in
 //! parallel"), so the parallel backend is a straight `par_iter` over
-//! devices — the rayon pattern the session guides recommend. Because each
-//! device draws from its own `(seed, round, id)` RNG stream, the parallel
-//! backend produces *bit-identical* results to the sequential one.
+//! devices: the rayon shim splits them into static contiguous partitions,
+//! one per available core, and returns the updates in device order.
+//! Because each device draws from its own `(seed, round, id)` RNG stream,
+//! the parallel backend produces *bit-identical* results to the
+//! sequential one (the tests below plant a thread-dependent model to
+//! show the comparison can fail).
 //!
 //! Every backend returns `Result`: the only failure today is driving
 //! FSVRG without its server-distributed anchor gradient
@@ -69,6 +72,7 @@ mod tests {
     use super::*;
     use crate::algorithm::Algorithm;
     use fedprox_data::synthetic::{generate, SyntheticConfig};
+    use fedprox_data::Dataset;
     use fedprox_models::MultinomialLogistic;
     use fedprox_optim::estimator::EstimatorKind;
 
@@ -79,23 +83,82 @@ mod tests {
         (devices, MultinomialLogistic::new(60, 10))
     }
 
-    #[test]
-    fn parallel_matches_sequential_bitwise() {
-        let (devices, model) = small_federation();
+    /// The backend comparison: the first (round, device) whose parallel
+    /// update differs from the sequential one in any bit, if any.
+    fn first_backend_mismatch<M: LossModel>(model: &M, devices: &[Device]) -> Option<String> {
         let cfg = FedConfig::new(Algorithm::FedProxVr(EstimatorKind::Sarah))
             .with_tau(8)
             .with_batch_size(8)
             .with_seed(11);
         let w0 = model.init_params(1);
         for round in 0..3 {
-            let seq = run_round_sequential(&model, &devices, &w0, &cfg, round).expect("seq");
-            let par = run_round_parallel(&model, &devices, &w0, &cfg, round).expect("par");
+            let seq = run_round_sequential(model, devices, &w0, &cfg, round).expect("seq");
+            let par = run_round_parallel(model, devices, &w0, &cfg, round).expect("par");
             assert_eq!(seq.len(), par.len());
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(a.w, b.w, "round {round}: parallel diverged from sequential");
-                assert_eq!(a.grad_evals, b.grad_evals);
+            for (d, (a, b)) in seq.iter().zip(&par).enumerate() {
+                if a.w != b.w || a.grad_evals != b.grad_evals {
+                    return Some(format!("round {round}, device {d}"));
+                }
             }
         }
+        None
+    }
+
+    #[test]
+    fn parallel_matches_sequential_bitwise() {
+        let (devices, model) = small_federation();
+        if let Some(at) = first_backend_mismatch(&model, &devices) {
+            panic!("parallel diverged from sequential at {at}");
+        }
+    }
+
+    /// A model whose gradients carry a 1e-12 bias off the thread that
+    /// built it: exactly the thread-dependence the fan-out must never
+    /// introduce, planted on purpose.
+    struct ThreadBiased {
+        inner: MultinomialLogistic,
+        home: std::thread::ThreadId,
+    }
+
+    impl LossModel for ThreadBiased {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+        fn init_params(&self, seed: u64) -> Vec<f64> {
+            self.inner.init_params(seed)
+        }
+        fn sample_loss(&self, w: &[f64], data: &Dataset, i: usize) -> f64 {
+            self.inner.sample_loss(w, data, i)
+        }
+        fn sample_grad_accum(&self, w: &[f64], data: &Dataset, i: usize, scale: f64, out: &mut [f64]) {
+            self.inner.sample_grad_accum(w, data, i, scale, out);
+            if std::thread::current().id() != self.home {
+                out[0] += scale * 1e-12;
+            }
+        }
+        fn predict(&self, w: &[f64], x: &[f64]) -> f64 {
+            self.inner.predict(w, x)
+        }
+    }
+
+    #[test]
+    fn backend_comparison_catches_a_thread_dependent_model() {
+        let threads = rayon::current_num_threads();
+        if threads < 2 {
+            eprintln!("single-threaded host: Parallel cannot differ from Sequential; skipping");
+            return;
+        }
+        let (devices, inner) = small_federation();
+        let model = ThreadBiased { inner, home: std::thread::current().id() };
+        let at = first_backend_mismatch(&model, &devices);
+        // The caller runs the first partition itself, so the mismatch
+        // shows on the first device of the second partition.
+        let first_on_worker = devices.len().div_ceil(threads.min(devices.len()));
+        assert_eq!(
+            at,
+            Some(format!("round 0, device {first_on_worker}")),
+            "comparison missed the planted bias"
+        );
     }
 
     #[test]

@@ -456,9 +456,9 @@ impl LossModel for Cnn {
     /// Like [`Self::batch_grad`], but holding the workspace and chunk
     /// accumulator in `scratch` across calls: a local solve of τ steps
     /// builds the (large) conv workspace once instead of once per chunk.
-    /// Bit-identical to `batch_grad` — the vendored rayon shim is
-    /// sequential, and even under real threading the fixed chunks are
-    /// combined in index order either way.
+    /// Bit-identical to `batch_grad` — the vendored rayon shim's
+    /// `par_chunks` is sequential, and even under real threading the
+    /// fixed chunks are combined in index order either way.
     fn batch_grad_in(
         &self,
         w: &[f64],

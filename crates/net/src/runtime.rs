@@ -298,6 +298,12 @@ pub struct NetReport {
     /// median is zero). Deterministic for a fixed seed — derived from
     /// the same virtual-clock timings as `round_durations`.
     pub round_skews: Vec<f64>,
+    /// Per-round gradient evaluations: the sum of
+    /// [`DeviceReply::grad_evals`] over every local model that reached
+    /// the server in that round, whether or not it was aggregated (a
+    /// deadline miss or an exhausted uplink still did the work). One
+    /// entry per executed round, like `round_durations`.
+    pub round_grad_evals: Vec<u64>,
     /// Rounds actually executed (callback may stop early).
     pub rounds_run: u32,
     /// Per-round participation records. Empty in strict mode
@@ -347,6 +353,7 @@ impl NetworkRuntime {
         let mut retransmissions = 0u64;
         let mut round_durations = Vec::new();
         let mut round_skews = Vec::new();
+        let mut round_grad_evals = Vec::new();
         let mut participation: Vec<RoundParticipation> = Vec::new();
         let mut global = initial;
         let mut rounds_run = 0;
@@ -542,6 +549,7 @@ impl NetworkRuntime {
                     // associative, and the sequential/parallel backends sum in
                     // id order, so this keeps all three backends bit-identical.
                     let mut slots: Vec<Option<(Vec<f64>, f64)>> = vec![None; n];
+                    let mut grad_evals_this_round = 0u64;
                     for _ in 0..sent {
                         let frame = {
                             fedprox_telemetry::span!("net", "recv_wait", "round" => round);
@@ -556,7 +564,12 @@ impl NetworkRuntime {
                         };
                         match decoded {
                             Message::LocalModel {
-                                device, params, weight, compute_time, round: r, ..
+                                device,
+                                params,
+                                weight,
+                                compute_time,
+                                grad_evals,
+                                round: r,
                             } => {
                                 if r != round {
                                     return Err(NetError::StaleRound {
@@ -565,6 +578,8 @@ impl NetworkRuntime {
                                         expected: round,
                                     });
                                 }
+                                grad_evals_this_round =
+                                    grad_evals_this_round.saturating_add(grad_evals);
                                 let d = device as usize;
                                 let mut compute =
                                     compute_time * opts.compute_multiplier_for(d);
@@ -721,6 +736,7 @@ impl NetworkRuntime {
                         }
                         round_durations.push(clock.advance_partial_round(&candidates));
                         round_skews.push(skew_from_finishes(finishes));
+                        round_grad_evals.push(grad_evals_this_round);
                         participation.push(RoundParticipation {
                             round: s,
                             outcomes: outcomes.clone(),
@@ -778,6 +794,7 @@ impl NetworkRuntime {
                         global = agg;
                         round_durations.push(clock.advance_round(&timings));
                         round_skews.push(round_skew(&timings));
+                        round_grad_evals.push(grad_evals_this_round);
                         rounds_run = round + 1;
                         #[cfg(feature = "telemetry")]
                         record_round_telemetry(
@@ -813,6 +830,7 @@ impl NetworkRuntime {
             retransmissions,
             round_durations,
             round_skews,
+            round_grad_evals,
             rounds_run,
             participation,
         })
@@ -1050,6 +1068,8 @@ mod tests {
         // Symmetric devices over constant links: no straggler skew.
         assert_eq!(report.round_skews.len(), 60);
         assert!(report.round_skews.iter().all(|&s| s.abs() < 1e-12));
+        // Every reply's gradient work comes back: 2 devices × 10.
+        assert_eq!(report.round_grad_evals, vec![20; 60]);
     }
 
     #[test]

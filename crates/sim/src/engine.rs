@@ -32,6 +32,7 @@ use fedprox_models::LossModel;
 use fedprox_net::VirtualClock;
 use fedprox_tensor::vecops;
 use rand::Rng;
+use rayon::prelude::*;
 
 /// Seed-domain tag for the optional compute-jitter stream (disjoint from
 /// the sampling, fault and solver stream families).
@@ -223,10 +224,11 @@ impl<'a, M: LossModel> SimEngine<'a, M> {
                 continue;
             }
 
-            // Local solves: the per-(round, device) solver streams are
-            // keyed identically to the other backends, so a lazily
-            // synthesized device produces the same delta it would as a
-            // resident actor.
+            // Local solves, fanned out across threads (shard synthesis
+            // included) and returned in `active` order. The per-(round,
+            // device) solver streams are keyed identically to the other
+            // backends, so a lazily synthesized device produces the same
+            // delta it would as a resident actor, on whichever thread.
             let updates: Vec<LocalUpdate> = match &self.population {
                 Population::Materialized(devs) => runner::run_round_subset(
                     self.model,
@@ -235,24 +237,22 @@ impl<'a, M: LossModel> SimEngine<'a, M> {
                     &global,
                     &self.cfg,
                     s - 1,
-                    false,
+                    true,
                     None,
                 )?,
-                Population::Lazy(lazy) => {
-                    let mut ups = Vec::with_capacity(active.len());
-                    for &d in &active {
+                Population::Lazy(lazy) => active
+                    .par_iter()
+                    .map(|&d| {
                         fedprox_telemetry::span!("sim", "device_update", "device" => d, "round" => s - 1);
-                        let dev = lazy.device(d);
-                        ups.push(dev.local_update_anchored(
+                        lazy.device(d).local_update_anchored(
                             self.model,
                             &global,
                             &self.cfg,
                             s - 1,
                             None,
-                        )?);
-                    }
-                    ups
-                }
+                        )
+                    })
+                    .collect::<Result<_, _>>()?,
             };
             for u in &updates {
                 total_grad_evals.add(u.grad_evals as u64);

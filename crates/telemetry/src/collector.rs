@@ -25,8 +25,12 @@
 //! attributed the same way. Telemetry's own allocations are measured
 //! and subtracted via a thread-local excluded-bytes ledger, so the
 //! allocator columns describe the instrumented program, not the
-//! instrumentation, and stay bitwise-reproducible for single-threaded
-//! runs.
+//! instrumentation. The probe reads the calling thread's counters, so a
+//! span on a fan-out worker thread is charged only its own thread's
+//! allocations, and the columns stay bitwise-reproducible as long as
+//! each thread's work is (the rayon shim's static partitions keep it
+//! so). A worker thread starts with an empty scope stack, so the paths
+//! of its spans do not include the caller's open scopes.
 //!
 //! This module is the only place outside `crates/net/src/clock.rs` where
 //! wall-clock time may be read (fedlint rule `no-wall-clock`): wall
@@ -70,8 +74,10 @@ pub const HISTOGRAM_BOUNDS: [f64; 10] =
 static ALLOC_PROBE: AtomicUsize = AtomicUsize::new(0);
 
 /// Install a cumulative-allocation probe: a function returning the
-/// process-wide `(bytes_requested, allocator_calls)` totals so far —
-/// typically `fedprox-perfbench`'s counting global allocator. Spans
+/// calling thread's `(bytes_requested, allocator_calls)` totals so far —
+/// typically `fedprox-perfbench`'s counting global allocator. (A
+/// process-wide probe also works single-threaded, but under a fan-out
+/// it charges each span the other threads' allocations too.) Spans
 /// closed afterwards attribute allocation deltas to their tree path.
 /// Install **before** arming; spans opened across an install observe a
 /// bogus first delta.

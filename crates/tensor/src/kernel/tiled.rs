@@ -16,7 +16,7 @@
 //! them over rayon. There is no reduction at all — each band owns its
 //! output rows outright — so the parallel result is bitwise identical
 //! to sequential *by construction*, not by tolerance. (The vendored
-//! rayon shim executes sequentially anyway; the invariant is what keeps
+//! rayon shim runs `par_chunks_mut` sequentially; the invariant is what keeps
 //! the strict path reproducible if a real thread pool is dropped in.)
 //!
 //! Packing buffers live in thread-locals so steady-state calls allocate

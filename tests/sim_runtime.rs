@@ -5,8 +5,9 @@
 //!
 //! Everything here serializes on one lock: the allocation-traffic tests
 //! read the process-wide counting allocator (pulled in via the
-//! `fedprox-perfbench` dev-dependency), and concurrent test threads
-//! would pollute the per-round deltas.
+//! `fedprox-perfbench` dev-dependency), which must see the engine's own
+//! fan-out threads, so concurrent test threads would pollute the
+//! per-round deltas.
 
 // Module-level helpers below sit outside #[test] fns, where
 // clippy.toml's allow-expect-in-tests does not reach.
@@ -244,11 +245,17 @@ fn fault_plans_address_sampled_devices_by_stable_id() {
     assert_eq!(rec.outcome_of(unsampled), DeviceOutcome::NotSelected);
 }
 
-/// Peak per-round allocation traffic of a sampled run, in bytes,
-/// ignoring round 1 (one-off warmup: aggregation buffers, heaps).
+/// Peak per-round allocation traffic (every thread) of a sampled run
+/// over `devices` equal-sized devices, in bytes, ignoring round 1
+/// (one-off warmup: aggregation buffers, heaps).
 fn peak_round_alloc(devices: usize, k: usize, seed: u64) -> u64 {
     let model = MultinomialLogistic::new(60, 10);
-    let pop = Population::Lazy(lazy_population(devices, seed));
+    // Equal shard sizes make the active set's work identical at every N,
+    // so any per-round difference between populations is a population
+    // term.
+    let zipf = ZipfPopulation::new(devices, 80, 80, 1.5, 4.0, seed);
+    let pool = SyntheticPool::new(SyntheticConfig { seed, ..Default::default() });
+    let pop = Population::Lazy(LazyPopulation::new(zipf, pool));
     let engine =
         SimEngine::new(&model, pop, None, lazy_cfg(SamplerSpec::UniformK(k), 8, seed));
     let mut last = fedprox_perfbench::alloc::stats();
@@ -273,18 +280,24 @@ fn round_memory_is_bounded_by_the_active_set_not_the_population() {
         eprintln!("counting allocator disabled; skipping the memory-bound check");
         return;
     }
-    // 100k devices, 16 sampled per round: the absolute bound is the
-    // active set's working memory (measured ~2 MiB/round), far below
-    // anything that scales with N (the shard data alone would be GBs).
-    let big = peak_round_alloc(100_000, 16, 31);
+    // 16 sampled devices per round. The active set's working memory is
+    // a fixed ~1.8 MiB per round (measured; equal within a few hundred
+    // bytes across N); a single O(N) term, say an 8-byte index per
+    // device, would add 80 KiB at N = 10⁴ and 8 MiB at N = 10⁶.
+    let peaks: Vec<(usize, u64)> = [10_000, 100_000, 1_000_000]
+        .into_iter()
+        .map(|n| (n, peak_round_alloc(n, 16, 31)))
+        .collect();
+    eprintln!("peak per-round alloc traffic by population: {peaks:?}");
+    for &(n, peak) in &peaks {
+        assert!(peak < 4 * 1024 * 1024, "N = {n}: per-round alloc traffic {peak} bytes");
+    }
+    let lo = peaks.iter().map(|p| p.1).min().unwrap_or(0);
+    let hi = peaks.iter().map(|p| p.1).max().unwrap_or(0);
     assert!(
-        big < 32 * 1024 * 1024,
-        "per-round alloc traffic {big} bytes looks population-bound"
+        hi - lo < 16 * 1024,
+        "per-round alloc traffic moves with the population: {peaks:?}"
     );
-    // And it tracks K, not N: 10× the population, same K, similar traffic.
-    let small = peak_round_alloc(10_000, 16, 31);
-    let ratio = big as f64 / small.max(1) as f64;
-    assert!(ratio < 3.0, "alloc traffic scales with population: {small} -> {big} ({ratio:.2}x)");
 }
 
 #[test]
