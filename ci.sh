@@ -55,8 +55,8 @@ cargo build -q --release -p fedprox-perfbench
     "$PERF_TMP/BENCH_smoke-a.json" "$PERF_TMP/BENCH_smoke-b.json"
 
 # kernel-diff: bitwise + speed gate over the tiled kernel rewrite. The
-# cpu_reference differential suite proves tiled == naive bitwise (and
-# parallel == sequential); the root determinism suite extends that to
+# cpu_reference differential suite proves tiled == naive bitwise; the
+# root determinism suite extends that to
 # full networked runs. The fedperf baseline gate then catches kernel
 # *speed* regressions against the committed BENCH_seed.json (recorded
 # from the tiled kernels). The default ratio is deliberately loose
@@ -104,7 +104,8 @@ echo "==> fedresil-smoke (seeded faulted scenario -> expected participation)"
 
 # fedprof-smoke: two identical-seed armed fig2 runs write --prof span-tree
 # profiles; `fedprof report` must render a ≥4-level tree, `fedprof flame`
-# must emit well-formed collapsed stacks, and `fedprof agg
+# must emit well-formed collapsed stacks with no root-level
+# device_update/matvec/softmax stack, and `fedprof agg
 # --check-deterministic` must find the deterministic columns (activation
 # counts, alloc bytes/calls) bitwise-identical across the two runs —
 # wall-clock columns are expected to differ and are reported as medians.
@@ -119,6 +120,12 @@ echo "==> fedprof-smoke (two same-seed --prof runs -> report/flame -> zero-delta
 ./target/release/fedprof flame "$PERF_TMP/prof_a.jsonl" > "$PERF_TMP/prof_a.flame"
 grep -Eq '^([^ ;]+;)+[^ ;]+ [0-9]+$' "$PERF_TMP/prof_a.flame" \
     || { echo "fedprof-smoke: flame output has no nested collapsed stack"; exit 1; }
+# Fan-out workers nest their spans under the caller's open path, so no
+# device solve or kernel span may root a stack.
+if grep -Eq '^(device_update|matvec|softmax)[ ;]' "$PERF_TMP/prof_a.flame"; then
+    echo "fedprof-smoke: root-level device_update/matvec/softmax stack in flame output"
+    exit 1
+fi
 ./target/release/fedprof agg "$PERF_TMP/prof_a.jsonl" "$PERF_TMP/prof_b.jsonl" \
     --check-deterministic >/dev/null
 

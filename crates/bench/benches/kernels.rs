@@ -27,9 +27,6 @@ fn bench_vecops(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("dot", n), &n, |bch, _| {
             bch.iter(|| vecops::dot(black_box(&a), black_box(&b)))
         });
-        g.bench_with_input(BenchmarkId::new("par_dot", n), &n, |bch, _| {
-            bch.iter(|| vecops::par_dot(black_box(&a), black_box(&b)))
-        });
         let mut y = pseudo(n, 3);
         g.bench_with_input(BenchmarkId::new("axpy", n), &n, |bch, _| {
             bch.iter(|| vecops::axpy(0.5, black_box(&a), black_box(&mut y)))

@@ -8,7 +8,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fedprox_bench::{fashion_federation, mnist_federation, synthetic_federation};
-use fedprox_core::{runner, server, Algorithm, FedConfig};
+use fedprox_core::device::LocalUpdate;
+use fedprox_core::{runner, server, Algorithm, Device, FedConfig, FedError};
 use fedprox_models::{Cnn, CnnSpec, LossModel, MultinomialLogistic};
 use fedprox_optim::estimator::EstimatorKind;
 
@@ -22,6 +23,18 @@ fn cfg() -> FedConfig {
         .with_seed(1)
 }
 
+/// One full-participation round over every device.
+fn round<M: LossModel>(
+    model: &M,
+    devices: &[Device],
+    w0: &[f64],
+    cfg: &FedConfig,
+    parallel: bool,
+) -> Result<Vec<LocalUpdate>, FedError> {
+    let all: Vec<usize> = (0..devices.len()).collect();
+    runner::run_round_subset(model, devices, &all, w0, cfg, 0, parallel, None)
+}
+
 fn bench_fig2_round(c: &mut Criterion) {
     let fed = fashion_federation(8, 40, 100, 1);
     let model = MultinomialLogistic::new(784, 10);
@@ -30,9 +43,7 @@ fn bench_fig2_round(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig2_round");
     g.sample_size(10);
     g.bench_function("logistic_8dev", |bch| {
-        bch.iter(|| {
-            runner::run_round_parallel(&model, &fed.devices, black_box(&w0), &cfg, 0)
-        })
+        bch.iter(|| round(&model, &fed.devices, black_box(&w0), &cfg, true))
     });
     g.finish();
 }
@@ -41,7 +52,7 @@ fn bench_fig3_round(c: &mut Criterion) {
     let fed = mnist_federation(4, 30, 60, 1);
     let model = Cnn::new(CnnSpec::tiny());
     // Downsample the 784-dim images to the tiny spec's 8x8 inputs.
-    let devices: Vec<fedprox_core::Device> = fed
+    let devices: Vec<Device> = fed
         .devices
         .iter()
         .map(|d| {
@@ -57,7 +68,7 @@ fn bench_fig3_round(c: &mut Criterion) {
                 .collect();
             let labels: Vec<f64> =
                 (0..d.data.len()).map(|i| (d.data.class_of(i) % 3) as f64).collect();
-            fedprox_core::Device::new(
+            Device::new(
                 d.id,
                 fedprox_data::Dataset::new(
                     fedprox_tensor::Matrix::from_vec(d.data.len(), side * side, feats),
@@ -72,7 +83,7 @@ fn bench_fig3_round(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig3_round");
     g.sample_size(10);
     g.bench_function("cnn_tiny_4dev", |bch| {
-        bch.iter(|| runner::run_round_parallel(&model, &devices, black_box(&w0), &cfg, 0))
+        bch.iter(|| round(&model, &devices, black_box(&w0), &cfg, true))
     });
     g.finish();
 }
@@ -85,15 +96,13 @@ fn bench_fig4_round(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig4_round");
     g.sample_size(20);
     g.bench_function("synthetic_8dev", |bch| {
-        bch.iter(|| {
-            runner::run_round_parallel(&model, &fed.devices, black_box(&w0), &cfg, 0)
-        })
+        bch.iter(|| round(&model, &fed.devices, black_box(&w0), &cfg, true))
     });
     g.finish();
 }
 
 fn bench_runner_ablation(c: &mut Criterion) {
-    // Ablation: sequential vs rayon-parallel device execution.
+    // Ablation: sequential vs parallel device execution.
     let fed = synthetic_federation(1.0, 1.0, 16, 80, 160, 2);
     let model = MultinomialLogistic::new(60, 10);
     let w0 = model.init_params(2);
@@ -101,14 +110,10 @@ fn bench_runner_ablation(c: &mut Criterion) {
     let mut g = c.benchmark_group("runner_ablation");
     g.sample_size(10);
     g.bench_function("sequential_16dev", |bch| {
-        bch.iter(|| {
-            runner::run_round_sequential(&model, &fed.devices, black_box(&w0), &cfg, 0)
-        })
+        bch.iter(|| round(&model, &fed.devices, black_box(&w0), &cfg, false))
     });
     g.bench_function("parallel_16dev", |bch| {
-        bch.iter(|| {
-            runner::run_round_parallel(&model, &fed.devices, black_box(&w0), &cfg, 0)
-        })
+        bch.iter(|| round(&model, &fed.devices, black_box(&w0), &cfg, true))
     });
     g.finish();
 }

@@ -46,9 +46,9 @@ pub struct CommonArgs {
     /// and wire-byte telemetry. Default off.
     pub net: bool,
     /// Tensor kernel selected by `--kernel` (`None` = leave the process
-    /// default, tiled-par). All kernels are bitwise interchangeable, so
+    /// default, tiled). Both kernels are bitwise interchangeable, so
     /// this only changes speed — pair it with `--prof` to profile the
-    /// same run under the naive reference and the tiled kernels.
+    /// same run under the naive reference and the tiled kernel.
     pub kernel: Option<fedprox_tensor::kernel::Kernel>,
 }
 
@@ -95,7 +95,7 @@ impl CommonArgs {
 /// Parse `--scale small|paper`, `--rounds N`, `--seed N`, `--out DIR`,
 /// `--trace PATH`, `--health PATH`, `--prof PATH`, `--obs PATH`,
 /// `--net`, and
-/// `--kernel reference|tiled|tiled-par` from an iterator of CLI
+/// `--kernel reference|tiled` from an iterator of CLI
 /// arguments (`--kernel` also applies the selection, process-wide).
 /// Unknown flags abort with a usage message naming `program`.
 // Exiting with a usage message is the intended CLI behaviour here, not
@@ -140,11 +140,8 @@ pub fn parse_args(program: &str, argv: impl Iterator<Item = String>) -> CommonAr
                 let k = match value("--kernel").as_str() {
                     "reference" => Kernel::Reference,
                     "tiled" => Kernel::Tiled,
-                    "tiled-par" => Kernel::TiledParallel,
                     other => {
-                        eprintln!(
-                            "{program}: unknown kernel '{other}' (reference|tiled|tiled-par)"
-                        );
+                        eprintln!("{program}: unknown kernel '{other}' (reference|tiled)");
                         std::process::exit(2);
                     }
                 };
@@ -163,7 +160,7 @@ pub fn parse_args(program: &str, argv: impl Iterator<Item = String>) -> CommonAr
                 println!(
                     "usage: {program} [--scale small|paper] [--rounds N] [--seed N] [--out DIR] \
                      [--trace PATH] [--health PATH] [--prof PATH] [--obs PATH] [--net] \
-                     [--kernel reference|tiled|tiled-par]"
+                     [--kernel reference|tiled]"
                 );
                 std::process::exit(0);
             }

@@ -348,6 +348,9 @@ impl<'a, M: LossModel> FederatedTrainer<'a, M> {
         if !fedprox_telemetry::collector::is_armed() {
             return None;
         }
+        // A named root for the measurement's kernel spans, which would
+        // otherwise record as bare root-level `matvec`/`softmax` paths.
+        fedprox_telemetry::span!("core", "health_monitor");
         let sigma = eval::empirical_sigma_bar_sq(self.model, self.devices, w0);
         Some(crate::health::HealthMonitor::new(crate::health::HealthConfig::from_run(
             &self.cfg, sigma,

@@ -34,6 +34,13 @@ pub enum FedError {
     /// The networked backend was asked to run FSVRG, whose extra
     /// global-gradient exchange it does not model.
     NetworkGlobalGradient,
+    /// A round named a device index past the end of the federation.
+    UnknownDevice {
+        /// The requested device index.
+        index: usize,
+        /// How many devices the federation has.
+        devices: usize,
+    },
 }
 
 impl fmt::Display for FedError {
@@ -57,6 +64,9 @@ impl fmt::Display for FedError {
                 f,
                 "FSVRG's extra gradient exchange is not modelled by the networked backend"
             ),
+            FedError::UnknownDevice { index, devices } => {
+                write!(f, "device index {index} is out of range for {devices} devices")
+            }
         }
     }
 }
@@ -68,7 +78,8 @@ impl std::error::Error for FedError {
             FedError::MissingGlobalGradient { .. }
             | FedError::EventDrivenBackend
             | FedError::NetworkPartialParticipation
-            | FedError::NetworkGlobalGradient => None,
+            | FedError::NetworkGlobalGradient
+            | FedError::UnknownDevice { .. } => None,
         }
     }
 }

@@ -2,20 +2,19 @@
 //! heterogeneity σ̄² of Assumption 1.
 
 use crate::device::Device;
+use crate::runner::fan_out;
 use fedprox_data::Dataset;
 use fedprox_models::LossModel;
 use fedprox_tensor::vecops;
-use rayon::prelude::*;
 
 /// Global training loss `F̄(w) = Σ_n (D_n/D) F_n(w)` (eq. (2)),
 /// parallel over devices.
 pub fn global_loss<M: LossModel>(model: &M, devices: &[Device], w: &[f64]) -> f64 {
     let total: usize = devices.iter().map(Device::samples).sum();
     assert!(total > 0, "global_loss: empty federation");
-    let weighted: f64 = devices
-        .par_iter()
-        .map(|d| d.samples() as f64 * model.full_loss(w, &d.data))
-        .sum();
+    let losses: Vec<f64> =
+        fan_out(devices, |d| d.samples() as f64 * model.full_loss(w, &d.data));
+    let weighted: f64 = losses.into_iter().sum();
     weighted / total as f64
 }
 
@@ -25,15 +24,12 @@ pub fn global_grad<M: LossModel>(model: &M, devices: &[Device], w: &[f64], out: 
     assert!(total > 0, "global_grad: empty federation");
     // Per-device gradients in parallel, combined in device order so the
     // result is independent of thread scheduling.
-    let partials: Vec<Vec<f64>> = devices
-        .par_iter()
-        .map(|d| {
-            let mut g = vec![0.0; model.dim()];
-            model.full_grad(w, &d.data, &mut g);
-            vecops::scale(d.samples() as f64 / total as f64, &mut g);
-            g
-        })
-        .collect();
+    let partials: Vec<Vec<f64>> = fan_out(devices, |d| {
+        let mut g = vec![0.0; model.dim()];
+        model.full_grad(w, &d.data, &mut g);
+        vecops::scale(d.samples() as f64 / total as f64, &mut g);
+        g
+    });
     out.fill(0.0);
     for p in &partials {
         vecops::add_assign(out, p);
@@ -68,14 +64,12 @@ pub fn empirical_sigma_bar_sq<M: LossModel>(
         return None;
     }
     let total: usize = devices.iter().map(Device::samples).sum();
-    let sum: f64 = devices
-        .par_iter()
-        .map(|d| {
-            let mut g = vec![0.0; model.dim()];
-            model.full_grad(w, &d.data, &mut g);
-            d.samples() as f64 / total as f64 * vecops::dist_sq(&g, &gbar)
-        })
-        .sum();
+    let terms: Vec<f64> = fan_out(devices, |d| {
+        let mut g = vec![0.0; model.dim()];
+        model.full_grad(w, &d.data, &mut g);
+        d.samples() as f64 / total as f64 * vecops::dist_sq(&g, &gbar)
+    });
+    let sum: f64 = terms.into_iter().sum();
     Some(sum / denom)
 }
 

@@ -2,49 +2,46 @@
 //!
 //! Devices within a round are independent (Algorithm 1 runs them "in
 //! parallel"), so the parallel backend is a straight `par_iter` over
-//! devices: the rayon shim splits them into static contiguous partitions,
-//! one per available core, and returns the updates in device order.
-//! Because each device draws from its own `(seed, round, id)` RNG stream,
-//! the parallel backend produces *bit-identical* results to the
-//! sequential one (the tests below plant a thread-dependent model to
-//! show the comparison can fail).
+//! devices ([`fan_out`]): the rayon shim splits them into static
+//! contiguous partitions, one per available core, and returns the
+//! updates in device order. This is the workspace's only level of
+//! parallelism; the kernels and batch reductions below it run on the
+//! device's thread. Because each device draws from its own
+//! `(seed, round, id)` RNG stream, the parallel backend produces
+//! *bit-identical* results to the sequential one (the tests below plant
+//! a thread-dependent model to show the comparison can fail).
 //!
-//! Every backend returns `Result`: the only failure today is driving
-//! FSVRG without its server-distributed anchor gradient
-//! ([`FedError::MissingGlobalGradient`]), surfaced as a value instead of
-//! a panic so the trainer's public API stays panic-free.
+//! Every backend returns `Result`: driving FSVRG without its
+//! server-distributed anchor gradient
+//! ([`FedError::MissingGlobalGradient`]) or naming a device that does
+//! not exist ([`FedError::UnknownDevice`]) is surfaced as a value
+//! instead of a panic so the trainer's public API stays panic-free.
 
 use crate::config::FedConfig;
 use crate::device::{Device, LocalUpdate};
 use crate::error::FedError;
 use fedprox_models::LossModel;
+use fedprox_telemetry::SpanPath;
 use rayon::prelude::*;
 
-/// Run the local updates of one global iteration sequentially.
-pub fn run_round_sequential<M: LossModel>(
-    model: &M,
-    devices: &[Device],
-    global: &[f64],
-    cfg: &FedConfig,
-    round: usize,
-) -> Result<Vec<LocalUpdate>, FedError> {
-    devices.iter().map(|d| d.local_update(model, global, cfg, round)).collect()
+/// Map `f` over `items` across the device fan-out, collecting the
+/// results in input order. Worker threads nest their telemetry spans
+/// under the caller's open span path.
+pub fn fan_out<'a, T, R, C, F>(items: &'a [T], f: F) -> C
+where
+    T: Sync,
+    R: Send,
+    C: FromIterator<R>,
+    F: Fn(&'a T) -> R + Sync,
+{
+    let path = SpanPath::capture();
+    items.par_iter().map(|item| path.enter(|| f(item))).collect()
 }
 
-/// Run the local updates of one global iteration across rayon.
-pub fn run_round_parallel<M: LossModel>(
-    model: &M,
-    devices: &[Device],
-    global: &[f64],
-    cfg: &FedConfig,
-    round: usize,
-) -> Result<Vec<LocalUpdate>, FedError> {
-    devices.par_iter().map(|d| d.local_update(model, global, cfg, round)).collect()
-}
-
-/// Run the local updates for a *subset* of devices (partial
-/// participation). Results are in `indices` order. `global_grad` is the
-/// server-distributed global gradient FSVRG anchors at (None otherwise).
+/// Run the local updates for the devices at `indices` (all of them for
+/// full participation, a sample for partial participation). Results are
+/// in `indices` order. `global_grad` is the server-distributed global
+/// gradient FSVRG anchors at (None otherwise).
 #[allow(clippy::too_many_arguments)]
 pub fn run_round_subset<M: LossModel>(
     model: &M,
@@ -56,14 +53,17 @@ pub fn run_round_subset<M: LossModel>(
     parallel: bool,
     global_grad: Option<&[f64]>,
 ) -> Result<Vec<LocalUpdate>, FedError> {
-    let update_one = |i: usize| {
+    let update_one = |&i: &usize| {
+        let device = devices
+            .get(i)
+            .ok_or(FedError::UnknownDevice { index: i, devices: devices.len() })?;
         fedprox_telemetry::span!("core", "device_update", "device" => i, "round" => round);
-        devices[i].local_update_anchored(model, global, cfg, round, global_grad)
+        device.local_update_anchored(model, global, cfg, round, global_grad)
     };
     if parallel {
-        indices.par_iter().map(|&i| update_one(i)).collect()
+        fan_out(indices, update_one)
     } else {
-        indices.iter().map(|&i| update_one(i)).collect()
+        indices.iter().map(update_one).collect()
     }
 }
 
@@ -86,14 +86,18 @@ mod tests {
     /// The backend comparison: the first (round, device) whose parallel
     /// update differs from the sequential one in any bit, if any.
     fn first_backend_mismatch<M: LossModel>(model: &M, devices: &[Device]) -> Option<String> {
+        let all: Vec<usize> = (0..devices.len()).collect();
         let cfg = FedConfig::new(Algorithm::FedProxVr(EstimatorKind::Sarah))
             .with_tau(8)
             .with_batch_size(8)
             .with_seed(11);
         let w0 = model.init_params(1);
         for round in 0..3 {
-            let seq = run_round_sequential(model, devices, &w0, &cfg, round).expect("seq");
-            let par = run_round_parallel(model, devices, &w0, &cfg, round).expect("par");
+            let run = |parallel| {
+                run_round_subset(model, devices, &all, &w0, &cfg, round, parallel, None)
+            };
+            let seq = run(false).expect("seq");
+            let par = run(true).expect("par");
             assert_eq!(seq.len(), par.len());
             for (d, (a, b)) in seq.iter().zip(&par).enumerate() {
                 if a.w != b.w || a.grad_evals != b.grad_evals {
@@ -171,6 +175,18 @@ mod tests {
                 run_round_subset(&model, &devices, &[0, 1, 2], &w0, &cfg, 0, parallel, None)
                     .expect_err("FSVRG without anchor must fail");
             assert!(matches!(err, FedError::MissingGlobalGradient { round: 0 }));
+        }
+    }
+
+    #[test]
+    fn out_of_range_index_fails_typed_on_both_backends() {
+        let (devices, model) = small_federation();
+        let cfg = FedConfig::new(Algorithm::FedAvg).with_tau(2).with_batch_size(8);
+        let w0 = model.init_params(1);
+        for parallel in [false, true] {
+            let err = run_round_subset(&model, &devices, &[0, 3, 1], &w0, &cfg, 0, parallel, None)
+                .expect_err("device 3 of 3 must be rejected");
+            assert_eq!(err, FedError::UnknownDevice { index: 3, devices: 3 });
         }
     }
 }

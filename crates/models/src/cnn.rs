@@ -20,7 +20,6 @@ use fedprox_tensor::conv::{
 use fedprox_tensor::{kernel, vecops};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// Static architecture description.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -416,49 +415,10 @@ impl LossModel for Cnn {
         self.backward(w, data.x(i), data.class_of(i), scale, out, &mut ws);
     }
 
-    /// Batch gradient overridden to reuse one workspace per rayon worker
-    /// instead of allocating scratch per sample — the training hot path.
-    fn batch_grad(&self, w: &[f64], data: &Dataset, indices: &[usize], out: &mut [f64]) {
-        assert_eq!(out.len(), self.dim(), "batch_grad: out length");
-        out.fill(0.0);
-        if indices.is_empty() {
-            return;
-        }
-        let scale = 1.0 / indices.len() as f64;
-        if indices.len() >= 4 {
-            // Fixed chunks + ordered combination: keeps results independent
-            // of thread scheduling and machine core count (see
-            // LossModel::batch_loss docs).
-            let partials: Vec<Vec<f64>> = indices
-                .par_chunks(8)
-                .map(|chunk_idx| {
-                    let mut acc = vec![0.0; self.dim()];
-                    let mut ws = self.workspace();
-                    for &i in chunk_idx {
-                        self.forward(w, data.x(i), &mut ws);
-                        self.backward(w, data.x(i), data.class_of(i), scale, &mut acc, &mut ws);
-                    }
-                    acc
-                })
-                .collect();
-            for p in &partials {
-                vecops::add_assign(out, p);
-            }
-        } else {
-            let mut ws = self.workspace();
-            for &i in indices {
-                self.forward(w, data.x(i), &mut ws);
-                self.backward(w, data.x(i), data.class_of(i), scale, out, &mut ws);
-            }
-        }
-    }
-
-    /// Like [`Self::batch_grad`], but holding the workspace and chunk
+    /// The batch gradient, holding the conv workspace and the chunk
     /// accumulator in `scratch` across calls: a local solve of τ steps
-    /// builds the (large) conv workspace once instead of once per chunk.
-    /// Bit-identical to `batch_grad` — the vendored rayon shim's
-    /// `par_chunks` is sequential, and even under real threading the
-    /// fixed chunks are combined in index order either way.
+    /// builds the (large) workspace once. From 4 samples on, chunks of 8
+    /// accumulate separately and are added to `out` in index order.
     fn batch_grad_in(
         &self,
         w: &[f64],
@@ -574,7 +534,7 @@ mod tests {
         let cnn = Cnn::new(spec);
         let data = tiny_data(3, &spec, 5);
         let w = cnn.init_params(2);
-        for k in [Kernel::Reference, Kernel::Tiled, Kernel::TiledParallel] {
+        for k in [Kernel::Reference, Kernel::Tiled] {
             let r = with_kernel(k, || check_batch_grad(&cnn, &w, &data, &[0, 1, 2], 1e-5, 7));
             assert!(
                 r.max_rel_err < 1e-3,
@@ -603,12 +563,9 @@ mod tests {
             })
         };
         let reference = grad_under(Kernel::Reference);
-        for k in [Kernel::Tiled, Kernel::TiledParallel] {
-            let got = grad_under(k);
-            let same =
-                got.iter().zip(&reference).all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "{k:?} batch gradient diverged from reference bitwise");
-        }
+        let got = grad_under(Kernel::Tiled);
+        let same = got.iter().zip(&reference).all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(same, "tiled batch gradient diverged from reference bitwise");
     }
 
     #[test]
@@ -651,19 +608,19 @@ mod tests {
     }
 
     #[test]
-    fn batch_grad_parallel_matches_sequential_samples() {
+    fn batch_grad_chunked_matches_sequential_samples() {
         let spec = CnnSpec::tiny();
         let cnn = Cnn::new(spec);
         let data = tiny_data(12, &spec, 9);
         let w = cnn.init_params(4);
         let idx: Vec<usize> = (0..12).collect();
-        let mut par = vec![0.0; cnn.dim()];
-        cnn.batch_grad(&w, &data, &idx, &mut par);
+        let mut chunked = vec![0.0; cnn.dim()];
+        cnn.batch_grad(&w, &data, &idx, &mut chunked);
         let mut seq = vec![0.0; cnn.dim()];
         for &i in &idx {
             cnn.sample_grad_accum(&w, &data, i, 1.0 / 12.0, &mut seq);
         }
-        let num = vecops::dist(&par, &seq);
+        let num = vecops::dist(&chunked, &seq);
         let den = vecops::norm(&seq).max(1e-12);
         assert!(num / den < 1e-10, "rel diff {}", num / den);
     }

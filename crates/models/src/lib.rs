@@ -24,7 +24,6 @@ pub mod mlp;
 pub mod svm;
 
 use fedprox_data::Dataset;
-use rayon::prelude::*;
 use std::any::Any;
 
 pub use cnn::{Cnn, CnnSpec};
@@ -117,12 +116,12 @@ impl std::panic::RefUnwindSafe for GradScratch {}
 /// Default seed used by examples/tests when initialising model parameters.
 pub const MODEL_SEED: u64 = 0xF3D;
 
-/// Batch size above which batch gradients fan out across rayon.
-const BATCH_PAR_THRESHOLD: usize = 32;
+/// Batch size from which batch reductions sum fixed-size chunks.
+const BATCH_CHUNK_THRESHOLD: usize = 32;
 
-/// Fixed chunk size for parallel batch reductions (fixed so the
-/// combination order — and therefore the floating-point result — does not
-/// depend on thread scheduling).
+/// Chunk size of the batch reductions. Partial sums are taken per chunk
+/// and combined in index order; both sizes fix the floating-point result,
+/// which every training backend reproduces bit for bit.
 const BATCH_CHUNK: usize = 32;
 
 /// A differentiable finite-sum loss `F_n(w) = (1/D_n) Σ_i f_i(w)` over a
@@ -151,18 +150,16 @@ pub trait LossModel: Send + Sync {
 
     /// Mean loss over the samples at `indices`.
     ///
-    /// Parallel reductions use **fixed-size chunks combined in order**:
-    /// floating-point addition is not associative, and rayon's adaptive
-    /// `fold`/`reduce` splitting would make results depend on thread
-    /// scheduling. Deterministic chunking keeps the sequential, parallel,
-    /// and networked training backends bit-identical.
+    /// From 32 samples on, per-chunk partial sums are combined in index
+    /// order: floating-point addition is not associative, so the chunk
+    /// size is part of the result.
     fn batch_loss(&self, w: &[f64], data: &Dataset, indices: &[usize]) -> f64 {
         if indices.is_empty() {
             return 0.0;
         }
-        let sum: f64 = if indices.len() >= BATCH_PAR_THRESHOLD {
+        let sum: f64 = if indices.len() >= BATCH_CHUNK_THRESHOLD {
             let partials: Vec<f64> = indices
-                .par_chunks(BATCH_CHUNK)
+                .chunks(BATCH_CHUNK)
                 .map(|chunk| chunk.iter().map(|&i| self.sample_loss(w, data, i)).sum())
                 .collect();
             partials.iter().sum()
@@ -173,42 +170,17 @@ pub trait LossModel: Send + Sync {
     }
 
     /// Mean gradient over the samples at `indices`, written into `out`
-    /// (overwritten). Parallel over fixed chunks for large batches; the
-    /// per-chunk partial gradients are summed in chunk order (see
-    /// [`Self::batch_loss`] on why the order is pinned).
+    /// (overwritten): [`Self::batch_grad_in`] with a fresh scratch.
     fn batch_grad(&self, w: &[f64], data: &Dataset, indices: &[usize], out: &mut [f64]) {
-        assert_eq!(out.len(), self.dim(), "batch_grad: out length");
-        out.fill(0.0);
-        if indices.is_empty() {
-            return;
-        }
-        let scale = 1.0 / indices.len() as f64;
-        if indices.len() >= BATCH_PAR_THRESHOLD {
-            let partials: Vec<Vec<f64>> = indices
-                .par_chunks(BATCH_CHUNK)
-                .map(|chunk| {
-                    let mut acc = vec![0.0; self.dim()];
-                    for &i in chunk {
-                        self.sample_grad_accum(w, data, i, scale, &mut acc);
-                    }
-                    acc
-                })
-                .collect();
-            for p in &partials {
-                fedprox_tensor::vecops::add_assign(out, p);
-            }
-        } else {
-            for &i in indices {
-                self.sample_grad_accum(w, data, i, scale, out);
-            }
-        }
+        self.batch_grad_in(w, data, indices, out, &mut GradScratch::new());
     }
 
-    /// Like [`Self::batch_grad`], but reusing buffers from `scratch` so a
-    /// loop of evaluations does O(1) allocations. Must be bit-identical
-    /// to `batch_grad` — same operations, same order; the default mirrors
-    /// the chunked reduction with one reused chunk accumulator (the
-    /// chunks are combined in index order either way).
+    /// Mean gradient over the samples at `indices`, written into `out`
+    /// (overwritten), reusing buffers from `scratch` so a loop of
+    /// evaluations does O(1) allocations. From 32 samples on, each chunk
+    /// accumulates into one reused buffer and the chunks are added to
+    /// `out` in index order (see [`Self::batch_loss`] on why the order is
+    /// pinned). Overrides must keep their own fixed chunking.
     fn batch_grad_in(
         &self,
         w: &[f64],
@@ -223,7 +195,7 @@ pub trait LossModel: Send + Sync {
             return;
         }
         let scale = 1.0 / indices.len() as f64;
-        if indices.len() >= BATCH_PAR_THRESHOLD {
+        if indices.len() >= BATCH_CHUNK_THRESHOLD {
             scratch.chunk_acc.resize(self.dim(), 0.0);
             for chunk in indices.chunks(BATCH_CHUNK) {
                 scratch.chunk_acc.fill(0.0);
@@ -269,14 +241,7 @@ pub trait LossModel: Send + Sync {
         if data.is_empty() {
             return 0.0;
         }
-        let correct: usize = if data.len() >= BATCH_PAR_THRESHOLD {
-            (0..data.len())
-                .into_par_iter()
-                .filter(|&i| self.predict(w, data.x(i)) == data.y(i))
-                .count()
-        } else {
-            (0..data.len()).filter(|&i| self.predict(w, data.x(i)) == data.y(i)).count()
-        };
+        let correct = (0..data.len()).filter(|&i| self.predict(w, data.x(i)) == data.y(i)).count();
         correct as f64 / data.len() as f64
     }
 }
@@ -295,9 +260,6 @@ impl<M: LossModel + ?Sized> LossModel for Box<M> {
     }
     fn sample_grad_accum(&self, w: &[f64], data: &Dataset, i: usize, scale: f64, out: &mut [f64]) {
         (**self).sample_grad_accum(w, data, i, scale, out)
-    }
-    fn batch_grad(&self, w: &[f64], data: &Dataset, indices: &[usize], out: &mut [f64]) {
-        (**self).batch_grad(w, data, indices, out)
     }
     fn batch_loss(&self, w: &[f64], data: &Dataset, indices: &[usize]) -> f64 {
         (**self).batch_loss(w, data, indices)
@@ -419,18 +381,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_matches_sequential() {
+    fn chunked_batch_matches_sequential() {
         let m = Quad { dim: 4 };
         let d = toy_data(200, 4);
         let w = vec![0.3; 4];
         let big: Vec<usize> = (0..200).collect();
-        let mut par = vec![0.0; 4];
-        m.batch_grad(&w, &d, &big, &mut par);
+        let mut chunked = vec![0.0; 4];
+        m.batch_grad(&w, &d, &big, &mut chunked);
         let mut seq = vec![0.0; 4];
         for &i in &big {
             m.sample_grad_accum(&w, &d, i, 1.0 / 200.0, &mut seq);
         }
-        for (a, b) in par.iter().zip(&seq) {
+        for (a, b) in chunked.iter().zip(&seq) {
             assert!((a - b).abs() < 1e-10);
         }
         // Loss too.

@@ -169,7 +169,7 @@ impl LossModel for MultinomialLogistic {
             return;
         }
         let scale = 1.0 / indices.len() as f64;
-        if indices.len() >= crate::BATCH_PAR_THRESHOLD {
+        if indices.len() >= crate::BATCH_CHUNK_THRESHOLD {
             for chunk in indices.chunks(crate::BATCH_CHUNK) {
                 ws.acc.fill(0.0);
                 for &i in chunk {

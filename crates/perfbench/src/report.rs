@@ -45,8 +45,8 @@ pub struct BenchReport {
     /// the fields are serde-defaulted so those still parse.
     #[serde(default)]
     pub config: String,
-    /// Tensor kernel selector active during measurement (`reference`,
-    /// `tiled`, `tiled-par`; empty on pre-ledger reports).
+    /// Tensor kernel selector active during measurement (`reference` or
+    /// `tiled`; empty on pre-ledger reports).
     #[serde(default)]
     pub kernel: String,
     /// Comma-joined compiled feature set (empty on pre-ledger reports).
@@ -189,7 +189,7 @@ impl GateOutcome {
 
 /// Refuse a gate comparison between reports measured under different
 /// code: when BOTH sides carry a run-ledger stamp, the kernel selector
-/// and the compiled feature set must match — a `tiled-par` baseline
+/// and the compiled feature set must match — a `tiled` baseline
 /// says nothing about a `reference` run, and timing deltas between
 /// feature sets are build artifacts, not regressions. Reports from
 /// before the stamp existed (empty fields) compare unconditionally.
@@ -443,19 +443,19 @@ mod tests {
         let mut base = report(vec![entry("a/1", 1.0)]);
         let mut cur = report(vec![entry("a/1", 1.0)]);
         // Either side unstamped (legacy baseline): compare unconditionally.
-        cur.kernel = "tiled-par".to_string();
+        cur.kernel = "tiled".to_string();
         cur.features = "count-alloc".to_string();
         assert!(check_comparable(&base, &cur).is_ok(), "legacy baseline must pass");
         // Both stamped and identical: fine.
-        base.kernel = "tiled-par".to_string();
+        base.kernel = "tiled".to_string();
         base.features = "count-alloc".to_string();
         assert!(check_comparable(&base, &cur).is_ok());
         // Kernel differs: refused, naming both selectors.
         base.kernel = "reference".to_string();
         let err = check_comparable(&base, &cur).unwrap_err();
-        assert!(err.contains("reference") && err.contains("tiled-par"), "{err}");
+        assert!(err.contains("reference") && err.contains("tiled"), "{err}");
         // Feature set differs: refused.
-        base.kernel = "tiled-par".to_string();
+        base.kernel = "tiled".to_string();
         base.features = "count-alloc,telemetry".to_string();
         assert!(check_comparable(&base, &cur).is_err());
         // Config digest alone differing does NOT refuse (different run

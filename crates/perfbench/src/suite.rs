@@ -10,7 +10,7 @@ use crate::report::{BenchEntry, BenchReport, SCHEMA};
 use crate::timer::{self, Timing};
 use fedprox_core::algorithm::Algorithm;
 use fedprox_core::config::FedConfig;
-use fedprox_core::runner::run_round_sequential;
+use fedprox_core::runner::run_round_subset;
 use fedprox_core::server::{aggregate, weights_from_sizes};
 use fedprox_core::device::Device;
 use fedprox_data::synthetic::{generate, SyntheticConfig};
@@ -204,6 +204,7 @@ fn round_bench(
     let weights = weights_from_sizes(&sizes);
     let devices: Vec<Device> =
         shards.into_iter().enumerate().map(|(i, s)| Device::new(i, s)).collect();
+    let all: Vec<usize> = (0..devices.len()).collect();
     let w0 = model.init_params(fedprox_models::MODEL_SEED);
     let mut agg = vec![0.0; w0.len()];
     Bench::new(
@@ -213,7 +214,8 @@ fn round_bench(
         full,
         quick,
         Box::new(move || {
-            let updates = run_round_sequential(&model, &devices, &w0, &cfg, 0).expect("round");
+            let updates = run_round_subset(&model, &devices, &all, &w0, &cfg, 0, false, None)
+                .expect("round");
             let pairs: Vec<(&[f64], f64)> =
                 updates.iter().zip(&weights).map(|(u, &wt)| (&u.w[..], wt)).collect();
             aggregate(&pairs, &mut agg);

@@ -32,7 +32,6 @@ use fedprox_models::LossModel;
 use fedprox_net::VirtualClock;
 use fedprox_tensor::vecops;
 use rand::Rng;
-use rayon::prelude::*;
 
 /// Seed-domain tag for the optional compute-jitter stream (disjoint from
 /// the sampling, fault and solver stream families).
@@ -240,19 +239,13 @@ impl<'a, M: LossModel> SimEngine<'a, M> {
                     true,
                     None,
                 )?,
-                Population::Lazy(lazy) => active
-                    .par_iter()
-                    .map(|&d| {
+                Population::Lazy(lazy) => runner::fan_out::<_, _, Result<Vec<_>, _>, _>(
+                    &active,
+                    |&d| {
                         fedprox_telemetry::span!("sim", "device_update", "device" => d, "round" => s - 1);
-                        lazy.device(d).local_update_anchored(
-                            self.model,
-                            &global,
-                            &self.cfg,
-                            s - 1,
-                            None,
-                        )
-                    })
-                    .collect::<Result<_, _>>()?,
+                        lazy.device(d).local_update_anchored(self.model, &global, &self.cfg, s - 1, None)
+                    },
+                )?,
             };
             for u in &updates {
                 total_grad_evals.add(u.grad_evals as u64);

@@ -29,8 +29,17 @@
 //! span on a fan-out worker thread is charged only its own thread's
 //! allocations, and the columns stay bitwise-reproducible as long as
 //! each thread's work is (the rayon shim's static partitions keep it
-//! so). A worker thread starts with an empty scope stack, so the paths
-//! of its spans do not include the caller's open scopes.
+//! so).
+//!
+//! A worker thread starts with an empty scope stack. A fan-out hands it
+//! the caller's open path instead: [`crate::SpanPath::capture`] on the
+//! caller, [`crate::SpanPath::enter`] around each item on the worker,
+//! which prefixes the worker's span paths with it, so a device solve
+//! records as `round/device_update` on every thread. The prefix carries
+//! names only: a worker's span time is not credited to the caller's
+//! child accumulators, because it ran on another thread in parallel
+//! with the caller, so the caller's self time still includes its wait
+//! for the workers.
 //!
 //! This module is the only place outside `crates/net/src/clock.rs` where
 //! wall-clock time may be read (fedlint rule `no-wall-clock`): wall
@@ -136,6 +145,9 @@ struct ExclLedger {
 
 thread_local! {
     static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
+    /// Path prefix adopted from a fanning-out caller (`/`-terminated
+    /// segments; empty when this thread opened its own scopes).
+    static ADOPTED: RefCell<String> = const { RefCell::new(String::new()) };
     static EXCLUDED: ExclLedger =
         const { ExclLedger { depth: Cell::new(0), bytes: Cell::new(0), calls: Cell::new(0) } };
 }
@@ -164,6 +176,39 @@ fn excluded<R>(f: impl FnOnce() -> R) -> R {
 /// Current excluded-ledger totals for this thread.
 fn excluded_totals() -> (u64, u64) {
     EXCLUDED.with(|e| (e.bytes.get(), e.calls.get()))
+}
+
+/// This thread's open span path, each segment `/`-terminated: the
+/// adopted prefix, then the names on the scope stack.
+pub(crate) fn open_path() -> String {
+    let mut path = ADOPTED.with(|a| a.borrow().clone());
+    STACK.with(|s| {
+        for fr in s.borrow().iter() {
+            path.push_str(fr.name);
+            path.push('/');
+        }
+    });
+    path
+}
+
+/// Run `f` with `prefix` (from [`open_path`] on the fanning-out thread)
+/// as this thread's path prefix. A thread that already has a path (the
+/// caller running its own share of the fan-out) keeps it.
+pub(crate) fn with_prefix<R>(prefix: &str, f: impl FnOnce() -> R) -> R {
+    let has_path =
+        STACK.with(|s| !s.borrow().is_empty()) || ADOPTED.with(|a| !a.borrow().is_empty());
+    if prefix.is_empty() || has_path {
+        return f();
+    }
+    struct Clear;
+    impl Drop for Clear {
+        fn drop(&mut self) {
+            ADOPTED.with(|a| a.borrow_mut().clear());
+        }
+    }
+    excluded(|| ADOPTED.with(|a| a.borrow_mut().push_str(prefix)));
+    let _clear = Clear;
+    f()
 }
 
 // ---------------------------------------------------------------------------
@@ -642,18 +687,8 @@ impl Drop for SpanGuard {
                     p.child_calls = p.child_calls.saturating_add(calls);
                 }
             });
-            let path = STACK.with(|s| {
-                let stack = s.borrow();
-                let mut path = String::with_capacity(
-                    stack.iter().map(|fr| fr.name.len() + 1).sum::<usize>() + a.name.len(),
-                );
-                for fr in stack.iter() {
-                    path.push_str(fr.name);
-                    path.push('/');
-                }
-                path.push_str(a.name);
-                path
-            });
+            let mut path = open_path();
+            path.push_str(a.name);
             record_closed_span(ClosedSpan {
                 layer: a.layer,
                 name: a.name,
@@ -801,6 +836,37 @@ mod tests {
             vec!["round", "round/device_update", "round/device_update/matmul", "round/matmul"],
             "path stats must drain in sorted order"
         );
+    }
+
+    #[test]
+    fn worker_threads_nest_under_the_captured_path() {
+        let _g = guard();
+        arm();
+        {
+            let _outer = SpanGuard::begin("core", "round", &[]);
+            let path = crate::SpanPath::capture();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    path.enter(|| {
+                        let _w = SpanGuard::begin("core", "device_update", &[]);
+                        let _leaf = SpanGuard::begin("tensor", "matmul", &[]);
+                    });
+                    // The prefix is dropped once the item finishes.
+                    let _after = SpanGuard::begin("core", "stray", &[]);
+                });
+            });
+            // The capturing thread keeps its own scopes: no doubling.
+            path.enter(|| {
+                let _w = SpanGuard::begin("core", "device_update", &[]);
+            });
+        }
+        assert_eq!(path_count("round/device_update"), 2);
+        assert_eq!(path_count("round/device_update/matmul"), 1);
+        assert_eq!(path_count("stray"), 1);
+        assert_eq!(path_count("device_update"), 0);
+        assert_eq!(path_count("round/round/device_update"), 0);
+        disarm();
+        reset();
     }
 
     #[test]

@@ -246,8 +246,9 @@ pub enum Event {
         config: String,
         /// Master seed of the run.
         seed: u64,
-        /// Active tensor-kernel selector (`reference`, `tiled`,
-        /// `tiled-par`).
+        /// Active tensor-kernel selector (`reference` or `tiled`; runs
+        /// recorded before the parallel kernel selector was removed
+        /// carry `tiled-par`).
         kernel: String,
         /// Digest (FNV-1a 64, hex) of the fault-plan description;
         /// digest of the empty string for fault-free runs.

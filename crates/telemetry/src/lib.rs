@@ -37,6 +37,44 @@ pub mod summary;
 #[cfg(feature = "enabled")]
 pub mod collector;
 
+/// The calling thread's open span path, captured before a fan-out so
+/// that worker threads record their spans under it (see the span-tree
+/// notes in the collector module). Without the `enabled` feature it is
+/// zero-sized and [`SpanPath::enter`] just calls its closure.
+#[derive(Clone, Debug, Default)]
+pub struct SpanPath {
+    #[cfg(feature = "enabled")]
+    prefix: String,
+}
+
+impl SpanPath {
+    /// The calling thread's open path (empty while disarmed).
+    #[inline]
+    pub fn capture() -> Self {
+        #[cfg(feature = "enabled")]
+        {
+            let prefix = if collector::is_armed() { collector::open_path() } else { String::new() };
+            SpanPath { prefix }
+        }
+        #[cfg(not(feature = "enabled"))]
+        SpanPath {}
+    }
+
+    /// Run `f` with this path as the current thread's span-path prefix.
+    /// Spans `f` opens nest under the captured path and are not credited
+    /// to the capturing thread's open spans. On the capturing thread
+    /// itself, whose own scopes are still open, this just calls `f`.
+    #[inline]
+    pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        #[cfg(feature = "enabled")]
+        {
+            collector::with_prefix(&self.prefix, f)
+        }
+        #[cfg(not(feature = "enabled"))]
+        f()
+    }
+}
+
 /// Lossless-enough conversion of attribute values to `f64` for span
 /// attributes and histogram samples (dimensions and counts comfortably
 /// fit; beyond 2⁵³ precision loss is acceptable for telemetry).

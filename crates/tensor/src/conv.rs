@@ -480,7 +480,7 @@ pub fn conv2d_forward(
             let cview = MatRef::transposed(scratch.cols.as_slice(), fields, npix);
             kernel::reference::gemm_ref(&wref, &cview, output, spec.out_ch, npix, fields, false);
         }
-        k => {
+        Kernel::Tiled => {
             scratch.prepare_tables(spec);
             let view = scratch.im2col_view(spec, input, false);
             kernel::tiled::gemm(
@@ -492,7 +492,6 @@ pub fn conv2d_forward(
                 fields,
                 false,
                 Blocking::for_shape(spec.out_ch, npix, fields),
-                k == Kernel::TiledParallel,
             );
         }
     }
@@ -588,7 +587,7 @@ pub fn conv2d_backward(
             );
             col2im(spec, &scratch.cols_grad, grad_input);
         }
-        k => {
+        Kernel::Tiled => {
             scratch.prepare_tables(spec);
             // grad_weight through the fused GEMM: B is the transposed
             // virtual im2col view, packed straight from the input.
@@ -603,7 +602,6 @@ pub fn conv2d_backward(
                     npix,
                     true,
                     Blocking::for_shape(spec.out_ch, fields, npix),
-                    k == Kernel::TiledParallel,
                 );
             }
             // grad_input = col2im(goᵀ · W): the column gradient runs
@@ -626,7 +624,6 @@ pub fn conv2d_backward(
                 spec.out_ch,
                 false,
                 Blocking::for_shape(npix, fields, spec.out_ch),
-                k == Kernel::TiledParallel,
             );
             grad_input.fill(0.0);
             let (h, w, kk) = (spec.height, spec.width, spec.kernel);

@@ -5,9 +5,9 @@
 //! through this module's entry points, which check shapes (returning
 //! [`ShapeError`] through the `try_*` variants), open the telemetry
 //! span, dispatch on the active [`Kernel`], and run the numeric guard
-//! on the output. The three kernels are **bitwise interchangeable** —
-//! `Tiled` and `TiledParallel` must produce the same bits as
-//! `Reference` (see `kernel::reference` for why, and
+//! on the output. The two kernels are **bitwise interchangeable** —
+//! `Tiled` must produce the same bits as `Reference` (see
+//! `kernel::reference` for why, and
 //! `tests/cpu_reference.rs` for the differential suite enforcing it) —
 //! so switching the selector is observationally invisible to training
 //! math and the global can be relaxed-atomic without a determinism
@@ -28,11 +28,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum Kernel {
     /// Naive scalar loops — the cpu-reference oracle.
     Reference,
-    /// Cache-blocked register-tiled kernels, sequential.
+    /// Cache-blocked register-tiled kernels (the default).
     Tiled,
-    /// Tiled kernels with rayon partitioned dispatch over disjoint
-    /// row/column bands (reduction-free, bitwise equal to `Tiled`).
-    TiledParallel,
 }
 
 impl Kernel {
@@ -42,20 +39,18 @@ impl Kernel {
         match self {
             Kernel::Reference => "reference",
             Kernel::Tiled => "tiled",
-            Kernel::TiledParallel => "tiled-par",
         }
     }
 }
 
-/// Process-global kernel selector (default: [`Kernel::TiledParallel`]).
-static ACTIVE: AtomicU8 = AtomicU8::new(2);
+/// Process-global kernel selector (default: [`Kernel::Tiled`]).
+static ACTIVE: AtomicU8 = AtomicU8::new(1);
 
 /// Select the kernel used by all subsequent tensor entry points.
 pub fn set_kernel(k: Kernel) {
     let v = match k {
         Kernel::Reference => 0,
         Kernel::Tiled => 1,
-        Kernel::TiledParallel => 2,
     };
     ACTIVE.store(v, Ordering::Relaxed);
 }
@@ -64,8 +59,7 @@ pub fn set_kernel(k: Kernel) {
 pub fn active() -> Kernel {
     match ACTIVE.load(Ordering::Relaxed) {
         0 => Kernel::Reference,
-        1 => Kernel::Tiled,
-        _ => Kernel::TiledParallel,
+        _ => Kernel::Tiled,
     }
 }
 
@@ -98,10 +92,7 @@ fn gemm_dispatch<A: GemmSource, B: GemmSource>(
 ) {
     match active() {
         Kernel::Reference => reference::gemm_ref(a, b, c, m, n, k, accumulate),
-        Kernel::Tiled => tiled::gemm(a, b, c, m, n, k, accumulate, Blocking::for_shape(m, n, k), false),
-        Kernel::TiledParallel => {
-            tiled::gemm(a, b, c, m, n, k, accumulate, Blocking::for_shape(m, n, k), true)
-        }
+        Kernel::Tiled => tiled::gemm(a, b, c, m, n, k, accumulate, Blocking::for_shape(m, n, k)),
     }
 }
 
@@ -170,8 +161,7 @@ pub fn try_matvec_into(
     fedprox_telemetry::span!("tensor", "matvec", "m" => m, "k" => k);
     match active() {
         Kernel::Reference => reference::matvec_ref(a, m, k, x, out),
-        Kernel::Tiled => tiled::matvec(a, m, k, x, out, false),
-        Kernel::TiledParallel => tiled::matvec(a, m, k, x, out, true),
+        Kernel::Tiled => tiled::matvec(a, m, k, x, out),
     }
     crate::guard::check_finite("matvec", out);
     Ok(())
@@ -193,8 +183,7 @@ pub fn try_matvec_t_into(
     fedprox_telemetry::span!("tensor", "matvec_t", "m" => m, "k" => k);
     match active() {
         Kernel::Reference => reference::matvec_t_ref(a, m, k, x, out),
-        Kernel::Tiled => tiled::matvec_t(a, m, k, x, out, false),
-        Kernel::TiledParallel => tiled::matvec_t(a, m, k, x, out, true),
+        Kernel::Tiled => tiled::matvec_t(a, m, k, x, out),
     }
     crate::guard::check_finite("matvec_t", out);
     Ok(())
@@ -224,7 +213,7 @@ pub fn matmul_into_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix, bl: Blockin
     let (m, n, k) = (a.rows(), b.cols(), a.cols());
     let ar = MatRef::new(a.as_slice(), m, k);
     let br = MatRef::new(b.as_slice(), k, n);
-    tiled::gemm(&ar, &br, out.as_mut_slice(), m, n, k, false, bl, false);
+    tiled::gemm(&ar, &br, out.as_mut_slice(), m, n, k, false, bl);
 }
 
 #[cfg(test)]

@@ -5,8 +5,7 @@
 //! accumulator per output element, k strictly increasing, no blocking,
 //! no skipping, no parallelism. The determinism contract of the whole
 //! kernel layer is stated against them: for every entry point, `Tiled`
-//! and `TiledParallel` must produce the same bits as these functions
-//! (enforced by `crates/tensor/tests/cpu_reference.rs`). That works
+//! must produce the same bits as these functions (enforced by `crates/tensor/tests/cpu_reference.rs`). That works
 //! because the tiled kernels also accumulate each output element in
 //! strictly increasing k order with a single f64 chain, and Rust does
 //! not contract `a * b + c` into fma, so the rounding sequence is

@@ -12,29 +12,15 @@
 //! the rounding sequence of the naive i-j-k loop, just interleaved
 //! across the tile.
 //!
-//! Parallel mode partitions C into disjoint MC row bands and dispatches
-//! them over rayon. There is no reduction at all — each band owns its
-//! output rows outright — so the parallel result is bitwise identical
-//! to sequential *by construction*, not by tolerance. (The vendored
-//! rayon shim runs `par_chunks_mut` sequentially; the invariant is what keeps
-//! the strict path reproducible if a real thread pool is dropped in.)
+//! The kernels are single-threaded. Parallelism lives one level up, in
+//! the round's fan-out over devices, which already occupies every core;
+//! a kernel-level split nested inside it could only oversubscribe them.
 //!
 //! Packing buffers live in thread-locals so steady-state calls allocate
 //! nothing (the fedperf alloc columns gate on this).
 
 use super::layout::{pack_a, pack_b, Blocking, GemmSource, MR, NR};
-use rayon::prelude::*;
 use std::cell::RefCell;
-
-/// Minimum output elements before the row-band dispatch fans out to
-/// rayon; below this the pool overhead dominates.
-const GEMM_PAR_THRESHOLD: usize = 64 * 64;
-
-/// Row chunk handed to each rayon task by the parallel matvec.
-const MATVEC_PAR_ROWS: usize = 64;
-
-/// Minimum `m * k` before matvec fans out.
-const MATVEC_PAR_THRESHOLD: usize = 64 * 1024;
 
 /// Column block width for the transposed matvec (keeps the streamed
 /// output slice cache-resident across the row sweep).
@@ -205,7 +191,6 @@ pub fn gemm<A: GemmSource, B: GemmSource>(
     k: usize,
     accumulate: bool,
     bl: Blocking,
-    parallel: bool,
 ) {
     debug_assert_eq!(a.src_rows(), m);
     debug_assert_eq!(a.src_cols(), k);
@@ -221,7 +206,6 @@ pub fn gemm<A: GemmSource, B: GemmSource>(
     }
     // No up-front zero fill when overwriting: the first KC slice's tiles
     // write every C element via the store-only path (see tile_full).
-    let fan_out = parallel && m > bl.mc && m * n >= GEMM_PAR_THRESHOLD;
     for jc in (0..n).step_by(bl.nc) {
         let nb = bl.nc.min(n - jc);
         for pc in (0..k).step_by(bl.kc) {
@@ -230,18 +214,10 @@ pub fn gemm<A: GemmSource, B: GemmSource>(
             PACK_B_BUF.with(|buf| {
                 let bp = &mut *buf.borrow_mut();
                 pack_b(b, pc, kb, jc, nb, bp);
-                if fan_out {
-                    c.par_chunks_mut(bl.mc * n).enumerate().for_each(|(band, cband)| {
-                        let ic = band * bl.mc;
-                        let mb = bl.mc.min(m - ic);
-                        macro_kernel(a, ic, mb, pc, kb, jc, nb, bp, cband, n, first_slice);
-                    });
-                } else {
-                    for (band, cband) in c.chunks_mut(bl.mc * n).enumerate() {
-                        let ic = band * bl.mc;
-                        let mb = bl.mc.min(m - ic);
-                        macro_kernel(a, ic, mb, pc, kb, jc, nb, bp, cband, n, first_slice);
-                    }
+                for (band, cband) in c.chunks_mut(bl.mc * n).enumerate() {
+                    let ic = band * bl.mc;
+                    let mb = bl.mc.min(m - ic);
+                    macro_kernel(a, ic, mb, pc, kb, jc, nb, bp, cband, n, first_slice);
                 }
             });
         }
@@ -252,14 +228,17 @@ pub fn gemm<A: GemmSource, B: GemmSource>(
 /// (independent of the GEMM tile height).
 const MV_ROWS: usize = 4;
 
-/// Row-blocked matvec: four rows share each streamed load of `x`, each
-/// row keeping its own sequential accumulator chain (bitwise equal to a
-/// per-row `vecops::dot`).
-fn matvec_rows(a: &[f64], k: usize, r0: usize, out: &mut [f64], x: &[f64]) {
-    let rows = out.len();
+/// Tiled matvec `out = a · x` (`a` is `m × k` row-major), row-blocked:
+/// four rows share each streamed load of `x`, each row keeping its own
+/// sequential accumulator chain (bitwise equal to a per-row
+/// `vecops::dot`).
+pub fn matvec(a: &[f64], m: usize, k: usize, x: &[f64], out: &mut [f64]) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(x.len(), k);
+    debug_assert_eq!(out.len(), m);
     let mut rb = 0;
-    while rb + MV_ROWS <= rows {
-        let base = (r0 + rb) * k;
+    while rb + MV_ROWS <= m {
+        let base = rb * k;
         let row0 = &a[base..base + k];
         let row1 = &a[base + k..base + 2 * k];
         let row2 = &a[base + 2 * k..base + 3 * k];
@@ -275,28 +254,12 @@ fn matvec_rows(a: &[f64], k: usize, r0: usize, out: &mut [f64], x: &[f64]) {
         rb += MV_ROWS;
     }
     for (i, o) in out.iter_mut().enumerate().skip(rb) {
-        let row = &a[(r0 + i) * k..(r0 + i + 1) * k];
+        let row = &a[i * k..(i + 1) * k];
         let mut s = 0.0;
         for (av, xv) in row.iter().zip(x) {
             s += av * xv;
         }
         *o = s;
-    }
-}
-
-/// Tiled matvec `out = a · x` (`a` is `m × k` row-major). Parallel mode
-/// partitions the output rows into disjoint chunks — reduction-free, so
-/// bitwise identical to sequential.
-pub fn matvec(a: &[f64], m: usize, k: usize, x: &[f64], out: &mut [f64], parallel: bool) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(x.len(), k);
-    debug_assert_eq!(out.len(), m);
-    if parallel && m * k >= MATVEC_PAR_THRESHOLD && m > MATVEC_PAR_ROWS {
-        out.par_chunks_mut(MATVEC_PAR_ROWS).enumerate().for_each(|(band, chunk)| {
-            matvec_rows(a, k, band * MATVEC_PAR_ROWS, chunk, x);
-        });
-    } else {
-        matvec_rows(a, k, 0, out, x);
     }
 }
 
@@ -313,22 +276,14 @@ fn matvec_t_block(a: &[f64], m: usize, k: usize, j0: usize, out_block: &mut [f64
     }
 }
 
-/// Tiled transposed matvec `out = aᵀ · x`. Parallel mode partitions the
-/// output columns into disjoint blocks — again reduction-free and
-/// bitwise identical to sequential.
-pub fn matvec_t(a: &[f64], m: usize, k: usize, x: &[f64], out: &mut [f64], parallel: bool) {
+/// Tiled transposed matvec `out = aᵀ · x`, one column block at a time.
+pub fn matvec_t(a: &[f64], m: usize, k: usize, x: &[f64], out: &mut [f64]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(x.len(), m);
     debug_assert_eq!(out.len(), k);
     out.fill(0.0);
-    if parallel && m * k >= MATVEC_PAR_THRESHOLD && k > MATVEC_T_BLOCK {
-        out.par_chunks_mut(MATVEC_T_BLOCK).enumerate().for_each(|(band, block)| {
-            matvec_t_block(a, m, k, band * MATVEC_T_BLOCK, block, x);
-        });
-    } else {
-        for (band, block) in out.chunks_mut(MATVEC_T_BLOCK).enumerate() {
-            matvec_t_block(a, m, k, band * MATVEC_T_BLOCK, block, x);
-        }
+    for (band, block) in out.chunks_mut(MATVEC_T_BLOCK).enumerate() {
+        matvec_t_block(a, m, k, band * MATVEC_T_BLOCK, block, x);
     }
 }
 
@@ -351,7 +306,7 @@ mod tests {
     }
 
     /// The in-crate smoke check; the exhaustive sweep (boundary sizes,
-    /// strides, parallel mode) lives in tests/cpu_reference.rs.
+    /// strides) lives in tests/cpu_reference.rs.
     #[test]
     fn gemm_matches_reference_bitwise_across_tile_edges() {
         for &(m, n, k) in &[(1, 1, 1), (4, 8, 16), (5, 9, 17), (13, 7, 3), (65, 33, 70)] {
@@ -363,7 +318,7 @@ mod tests {
             reference::gemm_ref(&ar, &br, &mut want, m, n, k, false);
             let mut got = vec![0.0; m * n];
             let small = Blocking::new(8, 8, 16);
-            gemm(&ar, &br, &mut got, m, n, k, false, small, false);
+            gemm(&ar, &br, &mut got, m, n, k, false, small);
             for (g, w) in got.iter().zip(&want) {
                 assert_eq!(g.to_bits(), w.to_bits(), "({m},{n},{k})");
             }
@@ -379,7 +334,7 @@ mod tests {
         let mut want = vec![0.0; m];
         reference::matvec_ref(&a, m, k, &x, &mut want);
         let mut got = vec![0.0; m];
-        matvec(&a, m, k, &x, &mut got, false);
+        matvec(&a, m, k, &x, &mut got);
         assert_eq!(
             got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -387,7 +342,7 @@ mod tests {
         let mut want_t = vec![0.0; k];
         reference::matvec_t_ref(&a, m, k, &xt, &mut want_t);
         let mut got_t = vec![0.0; k];
-        matvec_t(&a, m, k, &xt, &mut got_t, false);
+        matvec_t(&a, m, k, &xt, &mut got_t);
         assert_eq!(
             got_t.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             want_t.iter().map(|v| v.to_bits()).collect::<Vec<_>>()

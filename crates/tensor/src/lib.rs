@@ -5,7 +5,7 @@
 //! numeric substrate that replaces it. It provides:
 //!
 //! * [`vecops`] — BLAS-level-1 style operations on `&[f64]` slices (dot,
-//!   axpy, norms, …) with rayon-parallel variants for long vectors,
+//!   axpy, norms, …),
 //! * [`kernel`] — the runtime-selectable kernel layer: scalar
 //!   cpu-reference oracles and cache-blocked register-tiled GEMM /
 //!   matvec kernels that match them bitwise,

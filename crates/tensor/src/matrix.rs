@@ -277,7 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_matches_naive_large_parallel_path() {
+    fn matmul_matches_naive_large() {
         let a = pseudo_random(80, 100, 3);
         let b = pseudo_random(100, 90, 4);
         let got = a.matmul(&b);

@@ -2,20 +2,9 @@
 //!
 //! Model parameters in this workspace are flat `Vec<f64>` buffers, so the
 //! optimizers (SVRG / SARAH / prox steps) are expressed entirely in terms of
-//! these kernels. Sequential versions are used on short vectors; the `par_*`
-//! variants switch to rayon for the long parameter vectors of the CNN
-//! (~10^5 elements), chunked so each task does real work (see the rayon
-//! guide's advice on task granularity).
-
-use rayon::prelude::*;
-
-/// Length above which the `par_*` kernels actually fan out to rayon.
-/// Below this, thread-pool overhead dominates the memory-bound work.
-pub const PAR_THRESHOLD: usize = 16 * 1024;
-
-/// Chunk size for parallel kernels: large enough to amortise scheduling,
-/// small enough to load-balance.
-const PAR_CHUNK: usize = 4096;
+//! these kernels. They are single-threaded: a round already runs one
+//! device per core, so the memory-bound vector work has no idle core to
+//! spread over.
 
 #[inline]
 fn assert_same_len(a: &[f64], b: &[f64], op: &str) {
@@ -31,21 +20,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
-/// Parallel dot product; falls back to [`dot`] below [`PAR_THRESHOLD`].
-pub fn par_dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_same_len(a, b, "par_dot");
-    if a.len() < PAR_THRESHOLD {
-        return dot(a, b);
-    }
-    let s = a
-        .par_chunks(PAR_CHUNK)
-        .zip(b.par_chunks(PAR_CHUNK))
-        .map(|(ca, cb)| dot(ca, cb))
-        .sum();
-    crate::guard::check_finite_scalar("par_dot reduction", s);
-    s
-}
-
 /// Squared Euclidean norm `‖a‖²`.
 #[inline]
 pub fn norm_sq(a: &[f64]) -> f64 {
@@ -58,16 +32,6 @@ pub fn norm_sq(a: &[f64]) -> f64 {
 #[inline]
 pub fn norm(a: &[f64]) -> f64 {
     norm_sq(a).sqrt()
-}
-
-/// Parallel squared norm.
-pub fn par_norm_sq(a: &[f64]) -> f64 {
-    if a.len() < PAR_THRESHOLD {
-        return norm_sq(a);
-    }
-    let s = a.par_chunks(PAR_CHUNK).map(norm_sq).sum();
-    crate::guard::check_finite_scalar("par_norm_sq reduction", s);
-    s
 }
 
 /// Squared Euclidean distance `‖a − b‖²`.
@@ -92,17 +56,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
     }
-}
-
-/// Parallel axpy for long vectors.
-pub fn par_axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_same_len(x, y, "par_axpy");
-    if x.len() < PAR_THRESHOLD {
-        return axpy(alpha, x, y);
-    }
-    y.par_chunks_mut(PAR_CHUNK)
-        .zip(x.par_chunks(PAR_CHUNK))
-        .for_each(|(cy, cx)| axpy(alpha, cx, cy));
 }
 
 /// `y ← alpha * x` (overwrite).
@@ -240,16 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn par_dot_matches_dot_on_long_vector() {
-        let n = PAR_THRESHOLD + 1234;
-        let a: Vec<f64> = (0..n).map(|i| (i % 7) as f64 * 0.25).collect();
-        let b: Vec<f64> = (0..n).map(|i| (i % 5) as f64 - 2.0).collect();
-        let d1 = dot(&a, &b);
-        let d2 = par_dot(&a, &b);
-        assert!((d1 - d2).abs() < 1e-6 * d1.abs().max(1.0));
-    }
-
-    #[test]
     fn norms() {
         assert_eq!(norm_sq(&[3.0, 4.0]), 25.0);
         assert_eq!(norm(&[3.0, 4.0]), 5.0);
@@ -257,28 +200,10 @@ mod tests {
     }
 
     #[test]
-    fn par_norm_sq_matches() {
-        let n = PAR_THRESHOLD * 2;
-        let a: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        assert!((par_norm_sq(&a) - norm_sq(&a)).abs() < 1e-6);
-    }
-
-    #[test]
     fn axpy_accumulates() {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[3.0, 4.0], &mut y);
         assert_eq!(y, vec![7.0, 9.0]);
-    }
-
-    #[test]
-    fn par_axpy_matches_axpy() {
-        let n = PAR_THRESHOLD + 999;
-        let x: Vec<f64> = (0..n).map(|i| i as f64 * 1e-3).collect();
-        let mut y1 = vec![1.0; n];
-        let mut y2 = vec![1.0; n];
-        axpy(-0.5, &x, &mut y1);
-        par_axpy(-0.5, &x, &mut y2);
-        assert_eq!(y1, y2);
     }
 
     #[test]

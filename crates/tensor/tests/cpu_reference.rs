@@ -1,6 +1,5 @@
 //! The kernel-layer differential suite: every tiled kernel must match
-//! the scalar cpu-reference oracle **bitwise**, and the parallel
-//! dispatch must match the sequential tiled kernel bitwise.
+//! the scalar cpu-reference oracle **bitwise**.
 //!
 //! This is the gate behind the tiled matmul/conv rewrite — the blocked
 //! kernels are only allowed to exist because these sweeps prove they
@@ -98,24 +97,19 @@ fn matmul_all_variants_match_reference_bitwise_across_shape_sweep() {
 
         let (r_nn, r_tn, r_nt) = run(Kernel::Reference);
         let (t_nn, t_tn, t_nt) = run(Kernel::Tiled);
-        let (p_nn, p_tn, p_nt) = run(Kernel::TiledParallel);
 
         let ctx = format!("m={m} k={k} n={n}");
         assert_bits_eq(t_nn.as_slice(), r_nn.as_slice(), &format!("matmul tiled {ctx}"));
         assert_bits_eq(t_tn.as_slice(), r_tn.as_slice(), &format!("matmul_tn tiled {ctx}"));
         assert_bits_eq(t_nt.as_slice(), r_nt.as_slice(), &format!("matmul_nt tiled {ctx}"));
-        // Parallel must equal sequential tiled (and hence the reference).
-        assert_bits_eq(p_nn.as_slice(), t_nn.as_slice(), &format!("matmul par {ctx}"));
-        assert_bits_eq(p_tn.as_slice(), t_tn.as_slice(), &format!("matmul_tn par {ctx}"));
-        assert_bits_eq(p_nt.as_slice(), t_nt.as_slice(), &format!("matmul_nt par {ctx}"));
     }
 }
 
 #[test]
 fn matvec_and_matvec_t_match_reference_bitwise_across_shape_sweep() {
     let _g = lock();
-    // (m, k) straddles the 4-row register block, the 64-row parallel
-    // chunk, and the matvec_t 2048-column block.
+    // (m, k) straddles the 4-row register block and the matvec_t
+    // 2048-column block.
     for (m, k) in [
         (1, 1),
         (1, 9),
@@ -128,7 +122,7 @@ fn matvec_and_matvec_t_match_reference_bitwise_across_shape_sweep() {
         (64, 64),
         (200, 257),
         (130, 2049),
-        (70, 1025), // m·k past the parallel threshold with ragged tails
+        (70, 1025),
     ] {
         let seed = (m * 10_000 + k) as u64;
         let a = rand_matrix(m, k, seed);
@@ -140,13 +134,10 @@ fn matvec_and_matvec_t_match_reference_bitwise_across_shape_sweep() {
         };
         let (r_mv, r_mvt) = run(Kernel::Reference);
         let (t_mv, t_mvt) = run(Kernel::Tiled);
-        let (p_mv, p_mvt) = run(Kernel::TiledParallel);
 
         let ctx = format!("m={m} k={k}");
         assert_bits_eq(&t_mv, &r_mv, &format!("matvec tiled {ctx}"));
         assert_bits_eq(&t_mvt, &r_mvt, &format!("matvec_t tiled {ctx}"));
-        assert_bits_eq(&p_mv, &t_mv, &format!("matvec par {ctx}"));
-        assert_bits_eq(&p_mvt, &t_mvt, &format!("matvec_t par {ctx}"));
     }
 }
 
@@ -184,9 +175,7 @@ fn conv_forward_matches_reference_bitwise_across_spec_sweep() {
         };
         let reference = run(Kernel::Reference);
         let tiled = run(Kernel::Tiled);
-        let par = run(Kernel::TiledParallel);
         assert_bits_eq(&tiled, &reference, &format!("conv fwd tiled {spec:?}"));
-        assert_bits_eq(&par, &tiled, &format!("conv fwd par {spec:?}"));
     }
 }
 
@@ -214,14 +203,10 @@ fn conv_backward_matches_reference_bitwise_across_spec_sweep() {
         };
         let (r_gw, r_gb, r_gi) = run(Kernel::Reference);
         let (t_gw, t_gb, t_gi) = run(Kernel::Tiled);
-        let (p_gw, p_gb, p_gi) = run(Kernel::TiledParallel);
 
         assert_bits_eq(&t_gw, &r_gw, &format!("conv bwd gw tiled {spec:?}"));
         assert_bits_eq(&t_gb, &r_gb, &format!("conv bwd gb tiled {spec:?}"));
         assert_bits_eq(&t_gi, &r_gi, &format!("conv bwd gi tiled {spec:?}"));
-        assert_bits_eq(&p_gw, &t_gw, &format!("conv bwd gw par {spec:?}"));
-        assert_bits_eq(&p_gb, &t_gb, &format!("conv bwd gb par {spec:?}"));
-        assert_bits_eq(&p_gi, &t_gi, &format!("conv bwd gi par {spec:?}"));
     }
 }
 
@@ -247,7 +232,7 @@ fn repeated_calls_through_one_scratch_stay_reference_identical() {
                 conv2d_forward(spec, &input, &weight, &bias, &mut out, &mut fresh);
                 out
             });
-            let tiled = with_kernel(Kernel::TiledParallel, || {
+            let tiled = with_kernel(Kernel::Tiled, || {
                 let mut out = vec![0.0; spec.output_len()];
                 conv2d_forward(spec, &input, &weight, &bias, &mut out, &mut scratches[si]);
                 out

@@ -81,7 +81,7 @@ fn different_seed_runs_differ() {
 }
 
 /// The kernel layer is part of the determinism contract twice over:
-/// (a) a full networked run under the tiled-parallel kernels, executed
+/// (a) a full networked run under the tiled kernels, executed
 /// twice with the same seed, must be bitwise-identical — trajectory and
 /// final model — and (b) the tiled kernels must reproduce the scalar
 /// cpu-reference trajectory at strict tolerance zero, so kernel choice
@@ -113,8 +113,8 @@ fn tiled_kernel_networked_runs_are_bitwise_identical_and_match_reference() {
             FederatedTrainer::new(&model, &devices, &test, cfg).run().expect("run")
         })
     };
-    let a = networked(Kernel::TiledParallel);
-    let b = networked(Kernel::TiledParallel);
+    let a = networked(Kernel::Tiled);
+    let b = networked(Kernel::Tiled);
     assert!(!a.diverged() && !b.diverged());
     assert!(!a.records.is_empty());
     assert_eq!(fingerprint(&a), fingerprint(&b), "tiled same-seed runs drifted");

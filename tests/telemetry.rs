@@ -126,6 +126,22 @@ fn parallel_and_sequential_runs_count_identically() {
         span_count(&seq, "core", "device_update"),
         span_count(&par, "core", "device_update"),
     );
+    // Worker threads nest their spans under the caller's open path, so
+    // the parallel span tree is the sequential one, path for path.
+    assert_eq!(path_counts(&seq), path_counts(&par), "span tree differs across runners");
+    assert!(path_counts(&par).iter().any(|(p, _)| p == "round/evaluate/softmax"));
+}
+
+/// Every recorded span-tree path with its activation count, in drain
+/// order (sorted by path).
+fn path_counts(events: &[Event]) -> Vec<(String, u64)> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            Event::PathStat { path, count, .. } => Some((path.clone(), *count)),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]
