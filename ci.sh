@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# CI gate: build → test (default / check / telemetry) → clippy → fedlint →
+# CI gate: build → test (default / check / telemetry / telemetry crate
+# armed) → clippy → fedlint →
 # fedtrace smoke → perf-smoke → fedscope-smoke → fedresil-smoke →
 # fedprof-smoke → fedobs-smoke → fedsim-smoke. Any failing stage fails
 # the run.
@@ -16,6 +17,9 @@ cargo test -q --features check
 
 echo "==> cargo test -q --features telemetry (instrumentation compiled in)"
 cargo test -q --features telemetry
+
+echo "==> cargo test -q -p fedprox-telemetry --features enabled (collector suites armed)"
+cargo test -q -p fedprox-telemetry --features enabled
 
 # unwrap_used/expect_used are denied via [workspace.lints]; every
 # `#[allow]` escaping the deny must carry an adjacent justified

@@ -47,7 +47,7 @@ fn fail(msg: &str) -> ! {
 fn usage() -> ! {
     eprintln!(
         "usage: fedsim [--devices N] [--rounds T] [--seed S] [--algorithm NAME]\n\
-         \x20             [--sample full|k:K|frac:P|weighted:K|bern:P] [--shards S]\n\
+         \x20             [--sample full|k:K|frac:P|weighted:K|bern:P]\n\
          \x20             [--min-size N] [--max-size N] [--zipf-alpha A]\n\
          \x20             [--compute-spread F] [--alpha A] [--beta B] [--tau T]\n\
          \x20             [--sec-per-grad-eval S] [--jitter J]\n\
@@ -110,7 +110,6 @@ fn main() {
     let mut seed = 0u64;
     let mut algorithm = String::from("fedproxvr-svrg");
     let mut sample = String::from("k:64");
-    let mut shards = 8usize;
     let mut min_size = 40usize;
     let mut max_size = 120usize;
     let mut zipf_alpha = 1.5f64;
@@ -141,7 +140,6 @@ fn main() {
             "--seed" => seed = parse(&next_value(&mut args, "--seed"), "seed"),
             "--algorithm" => algorithm = next_value(&mut args, "--algorithm"),
             "--sample" => sample = next_value(&mut args, "--sample"),
-            "--shards" => shards = parse(&next_value(&mut args, "--shards"), "shard count"),
             "--min-size" => min_size = parse(&next_value(&mut args, "--min-size"), "size"),
             "--max-size" => max_size = parse(&next_value(&mut args, "--max-size"), "size"),
             "--zipf-alpha" => {
@@ -232,7 +230,7 @@ fn main() {
     let info = RunInfo::new(
         format!(
             "fedsim devices={devices} rounds={rounds} seed={seed} \
-             algorithm={algorithm} sample={sample} shards={shards} \
+             algorithm={algorithm} sample={sample} \
              zipf_alpha={zipf_alpha} sizes={min_size}..{max_size}"
         ),
         seed,
@@ -263,7 +261,6 @@ fn main() {
         .with_runner(RunnerKind::EventDriven(
             SimRunnerOptions::default()
                 .with_sampler(sampler)
-                .with_shards(shards)
                 .with_sec_per_grad_eval(sec_per_grad_eval)
                 .with_jitter(jitter),
         ));

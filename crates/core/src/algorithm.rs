@@ -3,15 +3,15 @@
 
 use crate::config::{FedConfig, NetRunnerOptions, RunnerKind};
 use crate::device::Device;
+use crate::driver::{self, Counters, RoundEnd};
 use crate::error::FedError;
-use crate::metrics::{DivergenceCause, History, RoundRecord, RunningTotal};
-use crate::{eval, runner, server};
+use crate::metrics::{History, RunningTotal};
+use crate::population::Population;
+use crate::server;
 use fedprox_data::Dataset;
-use fedprox_faults::{DeviceOutcome, RoundParticipation};
 use fedprox_models::LossModel;
 use fedprox_net::runtime::TryFnWorker;
 use fedprox_net::{DeviceReply, NetworkRuntime, WorkerError};
-use fedprox_tensor::vecops;
 
 /// Which federated algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,14 +62,10 @@ pub struct FederatedTrainer<'a, M: LossModel> {
 }
 
 impl<'a, M: LossModel> FederatedTrainer<'a, M> {
-    /// Build a trainer. `devices` must be non-empty and indexed to match
-    /// their `id` fields (aggregation weights come from shard sizes).
+    /// Build a trainer. `devices` must be non-empty, indexed to match
+    /// their `id` fields and hold data (aggregation weights come from
+    /// shard sizes); a run reports a violation as a [`FedError`].
     pub fn new(model: &'a M, devices: &'a [Device], test: &'a Dataset, cfg: FedConfig) -> Self {
-        assert!(!devices.is_empty(), "trainer needs at least one device");
-        for (i, d) in devices.iter().enumerate() {
-            assert_eq!(d.id, i, "device ids must match their position");
-            assert!(!d.data.is_empty(), "device {i} has no data");
-        }
         FederatedTrainer { model, devices, test, cfg }
     }
 
@@ -88,284 +84,20 @@ impl<'a, M: LossModel> FederatedTrainer<'a, M> {
         self.run_from(w0)
     }
 
-    /// Run from an explicit initial global model.
+    /// Run from an explicit initial global model. Every backend but the
+    /// networked one runs the shared round driver ([`driver::run`]);
+    /// `EventDriven` runs it over these devices with its timing model.
     pub fn run_from(&self, w0: Vec<f64>) -> Result<History, FedError> {
-        match self.cfg.runner.clone() {
-            RunnerKind::Sequential => self.run_local_loop(w0, false),
-            RunnerKind::Parallel => self.run_local_loop(w0, true),
-            RunnerKind::Network(opts) => self.run_networked(w0, &opts),
-            // The event-driven engine lives above this crate (it can
-            // synthesize its population lazily); `fedprox_sim::SimEngine`
-            // consumes the same config, including these options.
-            RunnerKind::EventDriven(_) => Err(FedError::EventDrivenBackend),
-        }
-    }
-
-    /// Sequential / rayon-parallel backends share this loop.
-    fn run_local_loop(&self, w0: Vec<f64>, parallel: bool) -> Result<History, FedError> {
-        let weights = server::weights_from_sizes(
-            &self.devices.iter().map(Device::samples).collect::<Vec<_>>(),
-        );
-        let mut global = w0;
-        let mut agg = vec![0.0; global.len()];
-        let mut records = Vec::new();
-        let mut divergence = DivergenceCause::None;
-        let mut total_grad_evals = RunningTotal::new();
-        let mut rounds_run = 0;
-
-        // Round 0: the initial global model, so every curve starts from
-        // the same baseline (and divergence is visible as an *increase*).
-        records.push(self.evaluate(0, &global, None, 0, 0.0, 0));
-
-        #[cfg(feature = "telemetry")]
-        let mut monitor = self.health_monitor(&global);
-        #[cfg(feature = "telemetry")]
-        if let Some(m) = monitor.as_mut() {
-            let r = &records[0];
-            m.observe_eval(0, r.train_loss, r.grad_norm_sq, None);
-        }
-
-        let n = self.devices.len();
-        let resil = self.cfg.resilience.as_ref();
-        let mut participation: Vec<RoundParticipation> = Vec::new();
-        let mut dead = vec![false; n];
-        for s in 1..=self.cfg.rounds {
-            fedprox_telemetry::span!("core", "round", "s" => s);
-            // Partial participation: sample ⌈pN⌉ devices for this round
-            // from a stream derived from (seed, round) only, so the
-            // selection is identical across backends.
-            let participants: Vec<usize> = if self.cfg.participation >= 1.0 {
-                (0..n).collect()
-            } else {
-                let k = ((self.cfg.participation * n as f64).ceil() as usize).clamp(1, n);
-                let mut rng = fedprox_data::synthetic::device_rng(
-                    self.cfg.seed ^ 0x9A87,
-                    s as u64,
-                );
-                rand::seq::index::sample(&mut rng, n, k).into_vec()
-            };
-            // Resilience: apply the fault plan to the round's sample —
-            // crashed devices drop out for good, offline windows sit the
-            // round out — then gate on quorum before any local work. A
-            // round without enough responding weight is skipped (global
-            // model unchanged) and counted, never fatal.
-            let participants = if let Some(r) = resil {
-                let mut outcomes = vec![DeviceOutcome::NotSelected; n];
-                let mut active = Vec::with_capacity(participants.len());
-                for &i in &participants {
-                    if dead[i] || r.plan.is_crashed(i, s) {
-                        dead[i] = true;
-                        outcomes[i] = DeviceOutcome::Crashed;
-                    } else if r.plan.is_offline(i, s) {
-                        outcomes[i] = DeviceOutcome::Offline;
-                    } else {
-                        outcomes[i] = DeviceOutcome::Responded;
-                        active.push(i);
-                    }
-                }
-                let weight_sum: f64 = active.iter().map(|&i| weights[i]).sum();
-                let quorum_ok = r.quorum.met(weight_sum, active.len());
-                participation.push(RoundParticipation {
-                    round: s,
-                    outcomes,
-                    responder_weight: weight_sum,
-                    skipped: !quorum_ok,
-                    sampled: None,
-                });
-                #[cfg(feature = "telemetry")]
-                if let Some(m) = monitor.as_mut() {
-                    // `participation` is non-empty: pushed just above.
-                    if let Some(p) = participation.last() {
-                        m.note_participation(s, p.responder_fraction());
-                    }
-                }
-                if !quorum_ok {
-                    // Quorum skip fires the flight recorder, blamed on
-                    // the first crashed device when any crashed this
-                    // round, else the first non-responder.
-                    #[cfg(feature = "telemetry")]
-                    if let Some(p) = participation.last() {
-                        let device = p
-                            .outcomes
-                            .iter()
-                            .position(|o| *o == DeviceOutcome::Crashed)
-                            .or_else(|| {
-                                p.outcomes.iter().position(|o| {
-                                    !matches!(
-                                        o,
-                                        DeviceOutcome::Responded | DeviceOutcome::NotSelected
-                                    )
-                                })
-                            })
-                            .map(|d| d as u32);
-                        fedprox_telemetry::collector::trigger_postmortem(
-                            "quorum_skip",
-                            s as u32,
-                            device,
-                        );
-                    }
-                    rounds_run = s;
-                    if s.is_multiple_of(self.cfg.eval_every) || s == self.cfg.rounds {
-                        let rec =
-                            self.evaluate(s, &global, None, total_grad_evals.get(), 0.0, 0);
-                        #[cfg(feature = "telemetry")]
-                        if let Some(m) = monitor.as_mut() {
-                            m.observe_eval(s, rec.train_loss, rec.grad_norm_sq, None);
-                        }
-                        records.push(rec);
-                    }
-                    continue;
-                }
-                active
-            } else {
-                participants
-            };
-            // FSVRG: the server aggregates and re-distributes the global
-            // gradient before the local updates (one extra exchange).
-            let global_grad = if self.cfg.algorithm.needs_global_gradient() {
-                let mut g = vec![0.0; global.len()];
-                eval::global_grad(self.model, self.devices, &global, &mut g);
-                // Every device spent a full local gradient pass for it.
-                for d in self.devices {
-                    total_grad_evals.add(d.samples() as u64);
-                }
-                Some(g)
-            } else {
-                None
-            };
-            let updates = runner::run_round_subset(
-                self.model,
-                self.devices,
-                &participants,
-                &global,
-                &self.cfg,
-                s - 1,
-                parallel,
-                global_grad.as_deref(),
-            )?;
-            for u in &updates {
-                total_grad_evals.add(u.grad_evals as u64);
+        let population = Population::Materialized(self.devices);
+        let timing = match &self.cfg.runner {
+            RunnerKind::Network(opts) => {
+                population.validate()?;
+                return self.run_networked(w0, opts);
             }
-            #[cfg(feature = "telemetry")]
-            if let Some(m) = monitor.as_mut() {
-                let mut dir = fedprox_optim::DirectionStats::default();
-                let mut work: Vec<(usize, u64)> = Vec::with_capacity(updates.len());
-                for (&i, u) in participants.iter().zip(&updates) {
-                    dir.merge(&u.dir_stats);
-                    work.push((i, u.grad_evals as u64));
-                }
-                m.note_round(s, &dir, &work);
-            }
-
-            // Optional θ measurement against the pre-aggregation global.
-            let theta = if self.cfg.measure_theta {
-                let mut sum = 0.0;
-                let mut wsum = 0.0;
-                for (&i, u) in participants.iter().zip(&updates) {
-                    let d = &self.devices[i];
-                    sum += weights[i] * d.theta_measured(self.model, &global, &u.w, self.cfg.mu);
-                    wsum += weights[i];
-                }
-                Some(sum / wsum)
-            } else {
-                None
-            };
-
-            let locals: Vec<(&[f64], f64)> = updates
-                .iter()
-                .zip(&participants)
-                .map(|(u, &i)| (u.w.as_slice(), weights[i]))
-                .collect();
-            server::aggregate(&locals, &mut agg);
-            std::mem::swap(&mut global, &mut agg);
-            rounds_run = s;
-
-            if !vecops::all_finite(&global) {
-                // Attribute the blowup to the first participating device
-                // whose local model was itself non-finite, when any was
-                // (aggregation-only blowups report no device).
-                let device = participants
-                    .iter()
-                    .zip(&updates)
-                    .find(|(_, u)| !vecops::all_finite(&u.w))
-                    .map(|(&i, _)| i);
-                divergence = DivergenceCause::NonFinite { round: s, device };
-                #[cfg(feature = "telemetry")]
-                {
-                    if let Some(m) = monitor.as_mut() {
-                        m.observe_non_finite(s, device);
-                    }
-                    fedprox_telemetry::collector::trigger_postmortem(
-                        "non_finite",
-                        s as u32,
-                        device.map(|d| d as u32),
-                    );
-                }
-                records.push(self.divergence_record(s, theta, total_grad_evals.get()));
-                break;
-            }
-            if s.is_multiple_of(self.cfg.eval_every) || s == self.cfg.rounds {
-                let rec = self.evaluate(s, &global, theta, total_grad_evals.get(), 0.0, 0);
-                let bad = !rec.train_loss.is_finite() || rec.train_loss > self.cfg.loss_guard;
-                #[cfg(feature = "telemetry")]
-                if let Some(m) = monitor.as_mut() {
-                    if bad {
-                        m.observe_loss_guard(s, rec.train_loss, self.cfg.loss_guard);
-                    } else {
-                        m.observe_eval(s, rec.train_loss, rec.grad_norm_sq, rec.theta_measured);
-                    }
-                }
-                records.push(rec);
-                if bad {
-                    divergence = DivergenceCause::LossGuard { round: s };
-                    #[cfg(feature = "telemetry")]
-                    fedprox_telemetry::collector::trigger_postmortem("loss_guard", s as u32, None);
-                    break;
-                }
-            }
-        }
-
-        #[cfg(feature = "telemetry")]
-        Self::flush_monitor(monitor);
-
-        Ok(History {
-            config: self.cfg.summary(),
-            records,
-            divergence,
-            rounds_run,
-            total_sim_time: 0.0,
-            final_model: global,
-            participation,
-        })
-    }
-
-    /// Build the fedscope health monitor for an armed-telemetry run;
-    /// `None` (zero cost) otherwise. The σ̄² measurement it performs is
-    /// read-only on model and data — it draws from no RNG stream — so
-    /// arming cannot perturb the training trajectory.
-    #[cfg(feature = "telemetry")]
-    fn health_monitor(&self, w0: &[f64]) -> Option<crate::health::HealthMonitor> {
-        if !fedprox_telemetry::collector::is_armed() {
-            return None;
-        }
-        // A named root for the measurement's kernel spans, which would
-        // otherwise record as bare root-level `matvec`/`softmax` paths.
-        fedprox_telemetry::span!("core", "health_monitor");
-        let sigma = eval::empirical_sigma_bar_sq(self.model, self.devices, w0);
-        Some(crate::health::HealthMonitor::new(crate::health::HealthConfig::from_run(
-            &self.cfg, sigma,
-        )))
-    }
-
-    /// Hand a monitor's accumulated samples and anomalies to the armed
-    /// collector at the end of a run.
-    #[cfg(feature = "telemetry")]
-    fn flush_monitor(monitor: Option<crate::health::HealthMonitor>) {
-        if let Some(m) = monitor {
-            for e in m.into_events() {
-                fedprox_telemetry::collector::record_event(e);
-            }
-        }
+            RunnerKind::EventDriven(opts) => Some(opts),
+            RunnerKind::Sequential | RunnerKind::Parallel => None,
+        };
+        driver::run(self.model, &population, Some(self.test), &self.cfg, timing, w0, &mut |_| {})
     }
 
     /// Networked backend: the actor runtime owns the loop; metrics are
@@ -407,21 +139,12 @@ impl<'a, M: LossModel> FederatedTrainer<'a, M> {
             })
             .collect();
 
-        let mut records = Vec::new();
-        let mut divergence = DivergenceCause::None;
         let cfg = &self.cfg;
-        records.push(self.evaluate(0, &w0, None, 0, 0.0, 0));
         // Device-level direction probes never cross the simulated wire
         // (the frame format must not depend on telemetry state), so the
         // networked monitor carries zero direction statistics and gets
         // its straggler skew backfilled from the clock afterwards.
-        #[cfg(feature = "telemetry")]
-        let mut monitor = self.health_monitor(&w0);
-        #[cfg(feature = "telemetry")]
-        if let Some(m) = monitor.as_mut() {
-            let r = &records[0];
-            m.observe_eval(0, r.train_loss, r.grad_norm_sq, None);
-        }
+        let mut end = RoundEnd::start(self.model, cfg, Some(self.devices), Some(self.test), &w0);
         // The runtime's own resilience option wins when both are set;
         // otherwise the trainer-level policy is handed down.
         let mut net_opts = opts.net.clone();
@@ -434,47 +157,8 @@ impl<'a, M: LossModel> FederatedTrainer<'a, M> {
             cfg.rounds as u32,
             &net_opts,
             |round, global| {
-                let s = round as usize + 1;
-                if !vecops::all_finite(global) {
-                    divergence = DivergenceCause::NonFinite { round: s, device: None };
-                    #[cfg(feature = "telemetry")]
-                    {
-                        if let Some(m) = monitor.as_mut() {
-                            m.observe_non_finite(s, None);
-                        }
-                        fedprox_telemetry::collector::trigger_postmortem(
-                            "non_finite",
-                            s as u32,
-                            None,
-                        );
-                    }
-                    records.push(self.divergence_record(s, None, 0));
-                    return false;
-                }
-                if s.is_multiple_of(cfg.eval_every) || s == cfg.rounds {
-                    let rec = self.evaluate(s, global, None, 0, 0.0, 0);
-                    let bad = !rec.train_loss.is_finite() || rec.train_loss > cfg.loss_guard;
-                    #[cfg(feature = "telemetry")]
-                    if let Some(m) = monitor.as_mut() {
-                        if bad {
-                            m.observe_loss_guard(s, rec.train_loss, cfg.loss_guard);
-                        } else {
-                            m.observe_eval(s, rec.train_loss, rec.grad_norm_sq, None);
-                        }
-                    }
-                    records.push(rec);
-                    if bad {
-                        divergence = DivergenceCause::LossGuard { round: s };
-                        #[cfg(feature = "telemetry")]
-                        fedprox_telemetry::collector::trigger_postmortem(
-                            "loss_guard",
-                            s as u32,
-                            None,
-                        );
-                        return false;
-                    }
-                }
-                true
+                // Sim time, traffic and gradient work are patched in below.
+                end.end_round(round as usize + 1, global, None, Counters::default(), || None)
             },
         );
         // Transport errors are protocol/configuration bugs in the
@@ -483,14 +167,11 @@ impl<'a, M: LossModel> FederatedTrainer<'a, M> {
         let report = report.map_err(FedError::Net)?;
 
         #[cfg(feature = "telemetry")]
-        {
-            if let Some(m) = monitor.as_mut() {
-                m.set_skews(&report.round_skews);
-                for p in &report.participation {
-                    m.note_participation(p.round, p.responder_fraction());
-                }
+        if let Some(m) = end.monitor.as_mut() {
+            m.set_skews(&report.round_skews);
+            for p in &report.participation {
+                m.note_participation(p.round, p.responder_fraction());
             }
-            Self::flush_monitor(monitor);
         }
 
         // Patch per-round simulated time, traffic and gradient work into
@@ -516,7 +197,7 @@ impl<'a, M: LossModel> FederatedTrainer<'a, M> {
         } else {
             0
         };
-        for rec in records.iter_mut() {
+        for rec in end.records.iter_mut() {
             if rec.round >= 1 && rec.round <= cumulative.len() {
                 rec.sim_time = cumulative[rec.round - 1];
                 rec.bytes = per_round_bytes.saturating_mul(rec.round as u64);
@@ -527,50 +208,12 @@ impl<'a, M: LossModel> FederatedTrainer<'a, M> {
             }
         }
 
-        Ok(History {
-            config: self.cfg.summary(),
-            records,
-            divergence,
-            rounds_run: report.rounds_run as usize,
-            total_sim_time: report.clock.now(),
-            final_model: report.final_model,
-            participation: report.participation,
-        })
-    }
-
-    fn evaluate(
-        &self,
-        round: usize,
-        global: &[f64],
-        theta: Option<f64>,
-        grad_evals: u64,
-        sim_time: f64,
-        bytes: u64,
-    ) -> RoundRecord {
-        fedprox_telemetry::span!("core", "evaluate", "round" => round);
-        RoundRecord {
-            round,
-            train_loss: eval::global_loss(self.model, self.devices, global),
-            test_accuracy: eval::test_accuracy(self.model, self.test, global),
-            grad_norm_sq: eval::stationarity_gap(self.model, self.devices, global),
-            theta_measured: theta,
-            sim_time,
-            bytes,
-            grad_evals,
-        }
-    }
-
-    fn divergence_record(&self, round: usize, theta: Option<f64>, grad_evals: u64) -> RoundRecord {
-        RoundRecord {
-            round,
-            train_loss: f64::INFINITY,
-            test_accuracy: 0.0,
-            grad_norm_sq: f64::INFINITY,
-            theta_measured: theta,
-            sim_time: 0.0,
-            bytes: 0,
-            grad_evals,
-        }
+        Ok(end.finish(
+            report.rounds_run as usize,
+            report.clock.now(),
+            report.final_model,
+            report.participation,
+        ))
     }
 }
 
@@ -580,6 +223,7 @@ mod tests {
     use crate::config::RunnerKind;
     use fedprox_data::split::split_federation;
     use fedprox_data::synthetic::{generate, SyntheticConfig};
+    use fedprox_faults::DeviceOutcome;
     use fedprox_models::MultinomialLogistic;
     use fedprox_optim::estimator::EstimatorKind;
 
@@ -879,9 +523,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one device")]
     fn empty_federation_rejected() {
         let (_, test, model) = federation(6);
-        let _ = FederatedTrainer::new(&model, &[], &test, base_cfg(Algorithm::FedAvg));
+        let err = FederatedTrainer::new(&model, &[], &test, base_cfg(Algorithm::FedAvg))
+            .run()
+            .expect_err("an empty federation cannot run");
+        assert_eq!(err, FedError::EmptyFederation);
+    }
+
+    #[test]
+    fn malformed_federations_fail_typed_on_every_backend() {
+        let (mut devices, test, model) = federation(6);
+        let runners = [
+            RunnerKind::Sequential,
+            RunnerKind::Parallel,
+            RunnerKind::Network(NetRunnerOptions::default()),
+            RunnerKind::EventDriven(crate::config::SimRunnerOptions::default()),
+        ];
+        let run = |devices: &[Device], runner: &RunnerKind| {
+            let cfg = base_cfg(Algorithm::FedAvg).with_runner(runner.clone());
+            FederatedTrainer::new(&model, devices, &test, cfg).run().expect_err("must fail")
+        };
+        devices.swap(0, 1);
+        for r in &runners {
+            assert_eq!(run(&devices, r), FedError::DeviceIdMismatch { position: 0, id: 1 });
+        }
+        devices.swap(0, 1);
+        devices[2] = Device::new(2, Dataset::empty(60, 10));
+        for r in &runners {
+            assert_eq!(run(&devices, r), FedError::EmptyShard { device: 2 });
+        }
     }
 }

@@ -20,13 +20,11 @@ pub enum RunnerKind {
     Parallel,
     /// The `fedprox-net` actor runtime with simulated delays.
     Network(NetRunnerOptions),
-    /// The `fedprox-sim` event-driven backend: compact passive device
-    /// state machines on a sharded virtual-time event loop, with
-    /// per-round client sampling. Scales to million-device populations
-    /// with memory bounded by the active set. [`FederatedTrainer`]
-    /// cannot host it (the engine lives above this crate); drive the
-    /// run through `fedprox_sim::SimEngine`, which consumes the same
-    /// `FedConfig`.
+    /// The event-driven backend: compact passive devices with per-round
+    /// client sampling and virtual-time leg timings (the round driver's
+    /// timing model). [`FederatedTrainer`] runs it over its own devices;
+    /// `fedprox_sim::SimEngine` also takes lazily synthesized
+    /// million-device populations with memory bounded by the active set.
     ///
     /// [`FederatedTrainer`]: crate::algorithm::FederatedTrainer
     EventDriven(SimRunnerOptions),
@@ -75,9 +73,9 @@ pub enum SamplerSpec {
 pub struct SimRunnerOptions {
     /// Per-round client sampling strategy.
     pub sampler: SamplerSpec,
-    /// Event-loop shard count (≥ 1). Sharding is a memory/locality knob
-    /// only: events are ordered by (virtual time, stable device id)
-    /// across shards, so the trajectory is shard-count invariant.
+    /// Event-loop shard count (≥ 1). Unused by every backend: the round
+    /// driver runs no event loop. Kept only because the benchmark
+    /// (`fedbench/`) sets it; it goes with `ShardedEventLoop`.
     pub shards: usize,
     /// Compute-cost model: seconds per per-sample gradient evaluation.
     pub sec_per_grad_eval: f64,
@@ -110,7 +108,8 @@ impl SimRunnerOptions {
         self.sampler = sampler;
         self
     }
-    /// Set the event-loop shard count.
+    /// Set the event-loop shard count (unused; see
+    /// [`SimRunnerOptions::shards`]).
     pub fn with_shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "event loop needs at least one shard");
         self.shards = shards;

@@ -21,11 +21,26 @@ pub enum FedError {
     /// — in the in-process simulation these are protocol or
     /// configuration bugs, never training dynamics).
     Net(NetError),
-    /// `RunnerKind::EventDriven` was selected on the in-process trainer.
-    /// The event-driven engine lives above this crate (it synthesizes
-    /// populations lazily); drive the run through
-    /// `fedprox_sim::SimEngine` with the same `FedConfig`.
-    EventDrivenBackend,
+    /// The federation has no devices.
+    EmptyFederation,
+    /// A materialized device is not at the position its id names
+    /// (devices must be indexed by stable id).
+    DeviceIdMismatch {
+        /// Position in the device slice.
+        position: usize,
+        /// The device's `id` field.
+        id: usize,
+    },
+    /// A device holds no training samples, so it has no aggregation
+    /// weight and no local objective.
+    EmptyShard {
+        /// The empty device.
+        device: usize,
+    },
+    /// FSVRG was asked of the event-driven backend: its server-distributed
+    /// global gradient needs a full-population pass every round, which
+    /// contradicts sampling.
+    EventDrivenGlobalGradient,
     /// The networked backend was asked for partial participation
     /// (`FedConfig::participation < 1`); its actors always run every
     /// device. Use `Sequential`/`Parallel`, or the event-driven engine's
@@ -51,10 +66,14 @@ impl fmt::Display for FedError {
                 "fsvrg: round {round} local update requires the server-distributed global gradient"
             ),
             FedError::Net(e) => write!(f, "networked backend: {e}"),
-            FedError::EventDrivenBackend => write!(
+            FedError::EmptyFederation => write!(f, "the federation needs at least one device"),
+            FedError::DeviceIdMismatch { position, id } => {
+                write!(f, "device at position {position} has id {id}; ids must match positions")
+            }
+            FedError::EmptyShard { device } => write!(f, "device {device} has no data"),
+            FedError::EventDrivenGlobalGradient => write!(
                 f,
-                "the event-driven backend is hosted by fedprox-sim's SimEngine, \
-                 not FederatedTrainer"
+                "FSVRG needs a full-population gradient exchange; the event-driven backend samples"
             ),
             FedError::NetworkPartialParticipation => write!(
                 f,
@@ -76,7 +95,10 @@ impl std::error::Error for FedError {
         match self {
             FedError::Net(e) => Some(e),
             FedError::MissingGlobalGradient { .. }
-            | FedError::EventDrivenBackend
+            | FedError::EmptyFederation
+            | FedError::DeviceIdMismatch { .. }
+            | FedError::EmptyShard { .. }
+            | FedError::EventDrivenGlobalGradient
             | FedError::NetworkPartialParticipation
             | FedError::NetworkGlobalGradient
             | FedError::UnknownDevice { .. } => None,

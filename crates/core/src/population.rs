@@ -1,7 +1,8 @@
-//! Device populations: materialized (shared with the other backends) or
-//! synthesized lazily per sampled device.
+//! Device populations: materialized (a device slice every backend can
+//! run) or synthesized lazily per sampled device.
 
-use fedprox_core::Device;
+use crate::device::Device;
+use crate::error::FedError;
 use fedprox_data::partition::ZipfPopulation;
 use fedprox_data::synthetic::SyntheticPool;
 
@@ -31,11 +32,10 @@ impl LazyPopulation {
     }
 }
 
-/// The population a [`crate::engine::SimEngine`] runs over.
+/// The population the round driver ([`crate::driver`]) runs over.
 pub enum Population<'a> {
-    /// Concrete devices shared with the sequential/parallel/networked
-    /// backends. Supports full evaluation and the p = 1 bitwise
-    /// equivalence with the sequential trajectory.
+    /// Concrete devices, indexed by stable id. Supports full evaluation,
+    /// FSVRG's global gradient and the health monitor.
     Materialized(&'a [Device]),
     /// Power-law synthetic population synthesized per sampled device
     /// (million-device scale; no full-population evaluation).
@@ -51,9 +51,35 @@ impl Population<'_> {
         }
     }
 
-    /// Whether the population is empty (the engine rejects this).
+    /// Whether the population is empty (the driver rejects this).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The device slice of a materialized population.
+    pub fn materialized(&self) -> Option<&[Device]> {
+        match self {
+            Population::Materialized(devs) => Some(devs),
+            Population::Lazy(_) => None,
+        }
+    }
+
+    /// Check the population is runnable: non-empty and, when
+    /// materialized, indexed by id with no empty shard (aggregation
+    /// weights come from shard sizes).
+    pub fn validate(&self) -> Result<(), FedError> {
+        if self.is_empty() {
+            return Err(FedError::EmptyFederation);
+        }
+        for (position, d) in self.materialized().unwrap_or_default().iter().enumerate() {
+            if d.id != position {
+                return Err(FedError::DeviceIdMismatch { position, id: d.id });
+            }
+            if d.data.is_empty() {
+                return Err(FedError::EmptyShard { device: position });
+            }
+        }
+        Ok(())
     }
 
     /// Device `d`'s sample count `D_d`.

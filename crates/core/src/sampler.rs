@@ -4,9 +4,9 @@
 //! Three schemes from the partial-participation literature sit behind
 //! one [`Sampler`]:
 //!
-//! * **uniform-K** — K of N uniformly without replacement, from the same
-//!   `(seed, round)` stream the sequential backend's `participation < 1`
-//!   path consumes, so `K = ⌈pN⌉` reproduces it bitwise;
+//! * **uniform-K** — K of N uniformly without replacement from one
+//!   `(seed, round)` stream; the in-process backends' `participation < 1`
+//!   draws `K = ⌈pN⌉` from the same stream ([`Sampler::participation`]);
 //! * **weighted-by-`n_k`** — inclusion probability ∝ sample count
 //!   (FedProx, arXiv 1812.06127), via Efraimidis–Spirakis reservoir keys
 //!   in O(N) time and O(K) memory, aggregated as a uniform 1/K average;
@@ -20,7 +20,7 @@
 //! device id)` only — never by position in a participant list — so
 //! selection is identical across shard counts and backends.
 
-use fedprox_core::SamplerSpec;
+use crate::config::SamplerSpec;
 use fedprox_faults::stream_rng;
 use rand::Rng;
 use std::cmp::Ordering;
@@ -28,6 +28,7 @@ use std::collections::BinaryHeap;
 
 /// Seed-domain tags keeping the sampler streams disjoint from every
 /// other stream family derived from the master seed.
+const UNIFORM_TAG: u64 = 0x9A87;
 const WEIGHTED_TAG: u64 = 0x574B_5A1F;
 const BERNOULLI_TAG: u64 = 0xBE7A_0A11;
 
@@ -35,6 +36,9 @@ const BERNOULLI_TAG: u64 = 0xBE7A_0A11;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sampler {
     spec: SamplerSpec,
+    /// Draw uniform-K from the stream even when K = N (a permutation
+    /// rather than the identity): the participation-fraction form.
+    draw_all: bool,
 }
 
 impl Sampler {
@@ -43,7 +47,19 @@ impl Sampler {
         if let SamplerSpec::Bernoulli(p) = spec {
             assert!(p > 0.0 && p <= 1.0, "Bernoulli activation must be in (0, 1]");
         }
-        Sampler { spec }
+        Sampler { spec, draw_all: false }
+    }
+
+    /// The in-process backends' participation fraction `p` over `n`
+    /// devices: everyone for `p ≥ 1`, else uniform-K with `K = ⌈pN⌉`,
+    /// drawn from the stream even when `K` rounds up to `N` (so the
+    /// round's order is then a permutation, not the identity).
+    pub fn participation(p: f64, n: usize) -> Self {
+        if p >= 1.0 {
+            return Sampler::new(SamplerSpec::Full);
+        }
+        let k = ((p * n as f64).ceil() as usize).clamp(1, n.max(1));
+        Sampler { spec: SamplerSpec::UniformK(k), draw_all: true }
     }
 
     /// The wrapped spec.
@@ -55,10 +71,9 @@ impl Sampler {
     /// population of `n` devices. `size_of` resolves a device's sample
     /// count (consulted only by the weighted scheme).
     ///
-    /// Uniform-K preserves the raw draw order of the sequential
-    /// backend's sampling stream (aggregation order is part of the
-    /// bitwise trajectory); the weighted and Bernoulli schemes return
-    /// ascending stable ids.
+    /// Uniform-K preserves the raw draw order of its sampling stream
+    /// (aggregation order is part of the bitwise trajectory); the
+    /// weighted and Bernoulli schemes return ascending stable ids.
     pub fn sample(
         &self,
         n: usize,
@@ -70,13 +85,10 @@ impl Sampler {
             SamplerSpec::Full => (0..n).collect(),
             SamplerSpec::UniformK(k) => {
                 let k = k.clamp(1, n);
-                if k == n {
+                if k == n && !self.draw_all {
                     return (0..n).collect();
                 }
-                // The sequential backend's exact partial-participation
-                // stream (see `FederatedTrainer::run_local_loop`).
-                let mut rng =
-                    fedprox_data::synthetic::device_rng(seed ^ 0x9A87, s as u64);
+                let mut rng = fedprox_data::synthetic::device_rng(seed ^ UNIFORM_TAG, s as u64);
                 rand::seq::index::sample(&mut rng, n, k).into_vec()
             }
             SamplerSpec::WeightedK(k) => weighted_k(n, k.clamp(1, n), s, seed, size_of),
@@ -178,15 +190,19 @@ mod tests {
 
     #[test]
     fn uniform_k_matches_sequential_stream() {
-        // The sequential backend's draw for participation p over n
-        // devices: k = ceil(p n), stream (seed ^ 0x9A87, s).
         let n = 10;
         let (seed, s) = (7u64, 3usize);
-        let k = ((0.5 * n as f64).ceil() as usize).clamp(1, n);
-        let mut rng = fedprox_data::synthetic::device_rng(seed ^ 0x9A87, s as u64);
-        let expect = rand::seq::index::sample(&mut rng, n, k).into_vec();
-        let got = Sampler::new(SamplerSpec::UniformK(k)).sample(n, s, seed, uniform_sizes);
-        assert_eq!(got, expect);
+        // K = ⌈pN⌉ from the same stream as the engine's uniform-K.
+        let half = Sampler::participation(0.5, n).sample(n, s, seed, uniform_sizes);
+        let k5 = Sampler::new(SamplerSpec::UniformK(5)).sample(n, s, seed, uniform_sizes);
+        assert_eq!(half, k5);
+        // ⌈0.95 · 10⌉ = N: still a draw from the stream (a permutation),
+        // where uniform-K(N) is the identity.
+        let mut most = Sampler::participation(0.95, n).sample(n, s, seed, uniform_sizes);
+        assert_ne!(most, (0..n).collect::<Vec<_>>());
+        most.sort_unstable();
+        assert_eq!(most, (0..n).collect::<Vec<_>>());
+        assert_eq!(Sampler::participation(1.0, n).spec(), SamplerSpec::Full);
     }
 
     #[test]

@@ -106,6 +106,29 @@ impl RoundParticipation {
         }
         self.responders() as f64 / eligible as f64
     }
+
+    /// The **stable id** of the device a quorum skip is blamed on: the
+    /// first crashed device when any crashed, otherwise the first one
+    /// that failed to respond for another reason (offline, deadline
+    /// miss, failed link). Compact records translate the outcome
+    /// position through [`RoundParticipation::sampled`]; in dense ones
+    /// the position is the id. `None` when everyone who was selected
+    /// responded and the weight still missed quorum.
+    pub fn attribute_skip(&self) -> Option<u32> {
+        let pos = self
+            .outcomes
+            .iter()
+            .position(|o| *o == DeviceOutcome::Crashed)
+            .or_else(|| {
+                self.outcomes.iter().position(|o| {
+                    !matches!(o, DeviceOutcome::Responded | DeviceOutcome::NotSelected)
+                })
+            })?;
+        match &self.sampled {
+            Some(ids) => ids.get(pos).copied(),
+            None => Some(pos as u32),
+        }
+    }
 }
 
 /// Aggregate view over a run's participation records.
@@ -271,6 +294,30 @@ mod tests {
         let json = serde_json::to_string(&r).unwrap_or_default();
         let back: Result<RoundParticipation, _> = serde_json::from_str(&json);
         assert_eq!(back.ok(), Some(r));
+    }
+
+    #[test]
+    fn skips_are_blamed_by_stable_id_on_dense_and_compact_records() {
+        use DeviceOutcome::*;
+        // Dense: the position is the id. A crash wins over an earlier
+        // offline device; without one, the first non-responder is blamed.
+        let dense = record(3, vec![NotSelected, Offline, Responded, Crashed], 0.2);
+        assert_eq!(dense.attribute_skip(), Some(3));
+        let dense = record(3, vec![NotSelected, Responded, DeadlineMiss, LinkFailed], 0.2);
+        assert_eq!(dense.attribute_skip(), Some(2));
+        // Compact: the same positions name the sampled stable ids.
+        let compact = |outcomes| RoundParticipation {
+            round: 3,
+            outcomes,
+            responder_weight: 0.2,
+            skipped: true,
+            sampled: Some(vec![40_017, 5, 912_334, 77]),
+        };
+        assert_eq!(compact(vec![Offline, Responded, Responded, Crashed]).attribute_skip(), Some(77));
+        assert_eq!(compact(vec![Responded, LinkFailed, Offline, Responded]).attribute_skip(), Some(5));
+        // Everyone selected responded: nobody to blame.
+        assert_eq!(record(3, vec![Responded, NotSelected], 0.1).attribute_skip(), None);
+        assert_eq!(compact(vec![Responded; 4]).attribute_skip(), None);
     }
 
     #[test]

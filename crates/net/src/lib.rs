@@ -18,7 +18,9 @@
 //!   retransmission, per-device compute multipliers) and an optional
 //!   graceful-degradation mode driven by `fedprox_faults`: planned
 //!   crashes/offline windows, round deadlines, and quorum aggregation
-//!   over the responder set.
+//!   over the responder set,
+//! * `observe` (`telemetry` feature) — the round and participation
+//!   observations every backend emits.
 //!
 //! Virtual time — never wall-clock time — drives every experiment, so γ
 //! sweeps (Fig. 1) are exact and reproducible.
@@ -30,6 +32,7 @@ pub mod codec;
 pub mod compress;
 pub mod delay;
 pub mod message;
+pub mod observe;
 pub mod runtime;
 
 pub use clock::VirtualClock;

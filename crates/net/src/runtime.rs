@@ -43,6 +43,8 @@ use std::fmt;
 /// panicking so the caller owns that decision.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
+    /// The runtime was handed no device workers.
+    NoDevices,
     /// A frame failed to decode.
     Codec(CodecError),
     /// An actor channel disconnected mid-round (a device thread died).
@@ -95,6 +97,7 @@ pub enum NetError {
 impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            NetError::NoDevices => write!(f, "net: the runtime needs at least one device"),
             NetError::Codec(e) => write!(f, "net: {e}"),
             NetError::ChannelClosed(which) => write!(f, "net: {which} disconnected"),
             NetError::MissingReply { device } => {
@@ -334,7 +337,9 @@ impl NetworkRuntime {
         mut on_round: impl FnMut(u32, &[f64]) -> bool,
     ) -> Result<NetReport, NetError> {
         let n = workers.len();
-        assert!(n > 0, "network runtime needs at least one device");
+        if n == 0 {
+            return Err(NetError::NoDevices);
+        }
         let dim = initial.len();
         fedprox_telemetry::gauge!("net.devices", n);
 
@@ -685,58 +690,64 @@ impl NetworkRuntime {
                         }
                     }
 
-                    if let Some(resil) = resil {
-                        // Aggregate over the responder set, weights
-                        // renormalized over responders; below quorum the
-                        // round is skipped-and-counted (global unchanged).
-                        let mut agg = vec![0.0f64; dim];
-                        let mut weight_sum = 0.0;
-                        let mut responders = 0usize;
-                        for (params, weight) in slots.iter().flatten() {
-                            for (a, p) in agg.iter_mut().zip(params) {
-                                *a += weight * p;
+                    // Aggregate over the responders in id order, weights
+                    // renormalized over them. Strict mode needs every
+                    // device's reply; under a resilience policy a round
+                    // below quorum is skipped-and-counted (global
+                    // unchanged).
+                    let mut agg = vec![0.0f64; dim];
+                    let mut weight_sum = 0.0;
+                    let mut responders = 0usize;
+                    for (d, slot) in slots.iter().enumerate() {
+                        let Some((params, weight)) = slot else {
+                            if resil.is_none() {
+                                return Err(NetError::MissingReply { device: d });
                             }
-                            weight_sum += weight;
-                            responders += 1;
+                            continue;
+                        };
+                        for (a, p) in agg.iter_mut().zip(params) {
+                            *a += weight * p;
                         }
-                        let quorum_ok = resil.quorum.met(weight_sum, responders);
-                        if quorum_ok {
-                            for a in agg.iter_mut() {
-                                *a /= weight_sum;
+                        weight_sum += weight;
+                        responders += 1;
+                    }
+                    let quorum_ok = match resil {
+                        Some(r) => r.quorum.met(weight_sum, responders),
+                        None if weight_sum <= 0.0 => return Err(NetError::ZeroAggregationWeight),
+                        None => true,
+                    };
+                    if quorum_ok {
+                        for a in agg.iter_mut() {
+                            *a /= weight_sum;
+                        }
+                        global = agg;
+                    }
+                    // Round duration: responders contribute their finish,
+                    // deadline misses the deadline itself (the server
+                    // stops waiting there), failed links their wasted
+                    // transfer time capped at the deadline.
+                    let deadline = resil.and_then(|r| r.deadline_s);
+                    let mut candidates = Vec::with_capacity(n);
+                    let mut finishes = Vec::with_capacity(n);
+                    for (d, outcome) in outcomes.iter().enumerate() {
+                        match outcome {
+                            DeviceOutcome::Responded => {
+                                let f = timings[d].total();
+                                candidates.push(f);
+                                finishes.push(f);
                             }
-                            global = agg;
-                        }
-                        // Round duration: responders contribute their
-                        // finish, deadline misses the deadline itself (the
-                        // server stops waiting there), failed links their
-                        // wasted transfer time capped at the deadline.
-                        let mut candidates = Vec::with_capacity(n);
-                        let mut finishes = Vec::with_capacity(n);
-                        for (d, outcome) in outcomes.iter().enumerate() {
-                            match outcome {
-                                DeviceOutcome::Responded => {
-                                    let f = timings[d].total();
-                                    candidates.push(f);
-                                    finishes.push(f);
-                                }
-                                DeviceOutcome::DeadlineMiss => {
-                                    if let Some(deadline) = resil.deadline_s {
-                                        candidates.push(deadline);
-                                    }
-                                }
-                                DeviceOutcome::LinkFailed => {
-                                    let e = failed_elapsed[d];
-                                    candidates.push(match resil.deadline_s {
-                                        Some(deadline) => e.min(deadline),
-                                        None => e,
-                                    });
-                                }
-                                _ => {}
+                            DeviceOutcome::DeadlineMiss => candidates.extend(deadline),
+                            DeviceOutcome::LinkFailed => {
+                                let e = failed_elapsed[d];
+                                candidates.push(deadline.map_or(e, |limit| e.min(limit)));
                             }
+                            _ => {}
                         }
-                        round_durations.push(clock.advance_partial_round(&candidates));
-                        round_skews.push(skew_from_finishes(finishes));
-                        round_grad_evals.push(grad_evals_this_round);
+                    }
+                    round_durations.push(clock.advance_partial_round(&candidates));
+                    round_skews.push(skew_from_finishes(finishes));
+                    round_grad_evals.push(grad_evals_this_round);
+                    if resil.is_some() {
                         participation.push(RoundParticipation {
                             round: s,
                             outcomes: outcomes.clone(),
@@ -744,69 +755,36 @@ impl NetworkRuntime {
                             skipped: !quorum_ok,
                             sampled: None,
                         });
-                        rounds_run = round + 1;
-                        #[cfg(feature = "telemetry")]
-                        {
-                            let responder_timings: Vec<(usize, DeviceRoundTiming)> = outcomes
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, o)| **o == DeviceOutcome::Responded)
-                                .map(|(d, _)| (d, timings[d]))
-                                .collect();
-                            record_round_telemetry(
-                                round,
-                                &responder_timings,
-                                clock.bytes_down() - traffic_before.0,
-                                clock.bytes_up() - traffic_before.1,
-                                clock.now(),
-                            );
-                            if let Some(rec) = participation.last() {
-                                record_participation_telemetry(rec);
-                                if rec.skipped {
-                                    fedprox_telemetry::collector::trigger_postmortem(
-                                        "quorum_skip",
-                                        s as u32,
-                                        attribute_skip(&rec.outcomes),
-                                    );
-                                }
-                            }
-                        }
-                        if !on_round(round, &global) {
-                            break 'rounds;
-                        }
-                    } else {
-                        let mut agg = vec![0.0f64; dim];
-                        let mut weight_sum = 0.0;
-                        for (d, slot) in slots.iter().enumerate() {
-                            let (params, weight) =
-                                slot.as_ref().ok_or(NetError::MissingReply { device: d })?;
-                            for (a, p) in agg.iter_mut().zip(params) {
-                                *a += weight * p;
-                            }
-                            weight_sum += weight;
-                        }
-                        if weight_sum <= 0.0 {
-                            return Err(NetError::ZeroAggregationWeight);
-                        }
-                        for a in agg.iter_mut() {
-                            *a /= weight_sum;
-                        }
-                        global = agg;
-                        round_durations.push(clock.advance_round(&timings));
-                        round_skews.push(round_skew(&timings));
-                        round_grad_evals.push(grad_evals_this_round);
-                        rounds_run = round + 1;
-                        #[cfg(feature = "telemetry")]
-                        record_round_telemetry(
+                    }
+                    rounds_run = round + 1;
+                    #[cfg(feature = "telemetry")]
+                    {
+                        let responder_timings: Vec<(usize, DeviceRoundTiming)> = outcomes
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, o)| **o == DeviceOutcome::Responded)
+                            .map(|(d, _)| (d, timings[d]))
+                            .collect();
+                        crate::observe::record_round_telemetry(
                             round,
-                            &timings.iter().copied().enumerate().collect::<Vec<_>>(),
+                            &responder_timings,
                             clock.bytes_down() - traffic_before.0,
                             clock.bytes_up() - traffic_before.1,
                             clock.now(),
                         );
-                        if !on_round(round, &global) {
-                            break 'rounds;
+                        if let Some(rec) = participation.last() {
+                            crate::observe::record_participation_telemetry(rec);
+                            if rec.skipped {
+                                fedprox_telemetry::collector::trigger_postmortem(
+                                    "quorum_skip",
+                                    s as u32,
+                                    rec.attribute_skip(),
+                                );
+                            }
                         }
+                    }
+                    if !on_round(round, &global) {
+                        break 'rounds;
                     }
                 }
                 Ok(())
@@ -837,15 +815,10 @@ impl NetworkRuntime {
     }
 }
 
-/// Straggler skew of one round: slowest finish over median finish, minus
-/// one. Computed for every run (armed or not) so the report's shape never
-/// depends on telemetry state.
-fn round_skew(timings: &[DeviceRoundTiming]) -> f64 {
-    skew_from_finishes(timings.iter().map(|t| t.download + t.compute + t.upload).collect())
-}
-
-/// Skew over an arbitrary set of finish times (only responders, in
-/// resilient rounds). Fewer than two finishes cannot skew.
+/// Straggler skew of one round over its responders' finish times:
+/// slowest over median, minus one. Computed for every run (armed or
+/// not) so the report's shape never depends on telemetry state. Fewer
+/// than two finishes cannot skew.
 fn skew_from_finishes(mut finishes: Vec<f64>) -> f64 {
     if finishes.len() < 2 {
         return 0.0;
@@ -863,124 +836,6 @@ fn skew_from_finishes(mut finishes: Vec<f64>) -> f64 {
     } else {
         0.0
     }
-}
-
-/// Emit the per-round simulation observations: one [`DeviceRound`] per
-/// device (straggler lag = finish time minus the round's median finish),
-/// one [`Bytes`] per direction, and the closing [`RoundEnd`]. Everything
-/// here derives from the virtual clock, so armed and disarmed runs stay
-/// bitwise-identical in their training output.
-///
-/// [`DeviceRound`]: fedprox_telemetry::event::Event::DeviceRound
-/// [`Bytes`]: fedprox_telemetry::event::Event::Bytes
-/// [`RoundEnd`]: fedprox_telemetry::event::Event::RoundEnd
-#[cfg(feature = "telemetry")]
-fn record_round_telemetry(
-    round: u32,
-    timings: &[(usize, DeviceRoundTiming)],
-    down_bytes: u64,
-    up_bytes: u64,
-    sim_now: f64,
-) {
-    use fedprox_telemetry::collector;
-    use fedprox_telemetry::event::Event;
-    if !collector::is_armed() {
-        return;
-    }
-    let finishes: Vec<f64> =
-        timings.iter().map(|(_, t)| t.download + t.compute + t.upload).collect();
-    let mut sorted = finishes.clone();
-    sorted.sort_by(f64::total_cmp);
-    let m = sorted.len();
-    if m > 0 {
-        let median = if m % 2 == 1 {
-            sorted[m / 2]
-        } else {
-            0.5 * (sorted[m / 2 - 1] + sorted[m / 2])
-        };
-        for ((d, t), finish) in timings.iter().zip(&finishes) {
-            let lag = finish - median;
-            collector::record_event(Event::DeviceRound {
-                round,
-                device: *d as u32,
-                download_s: t.download,
-                compute_s: t.compute,
-                upload_s: t.upload,
-                finish_s: *finish,
-                lag_s: lag,
-            });
-            fedprox_telemetry::histogram!("net.straggler_lag_s", lag.max(0.0));
-        }
-    }
-    collector::record_event(Event::Bytes {
-        round,
-        kind: "global_model".into(),
-        direction: "down".into(),
-        bytes: down_bytes,
-    });
-    collector::record_event(Event::Bytes {
-        round,
-        kind: "local_model".into(),
-        direction: "up".into(),
-        bytes: up_bytes,
-    });
-    collector::record_event(Event::RoundEnd { round, sim_time_s: sim_now });
-}
-
-/// Emit the participation observations of one resilient round: running
-/// outcome counters plus one structured [`Participation`] event carrying
-/// the round's responder weight and skip flag. Like every fedtrace
-/// emission this observes — it never perturbs the run.
-///
-/// [`Participation`]: fedprox_telemetry::event::Event::Participation
-#[cfg(feature = "telemetry")]
-fn record_participation_telemetry(rec: &RoundParticipation) {
-    use fedprox_telemetry::collector;
-    use fedprox_telemetry::event::Event;
-    if !collector::is_armed() {
-        return;
-    }
-    let responded = rec.responders();
-    let crashed = rec.count(DeviceOutcome::Crashed);
-    let offline = rec.count(DeviceOutcome::Offline);
-    let deadline_miss = rec.count(DeviceOutcome::DeadlineMiss);
-    let link_failed = rec.count(DeviceOutcome::LinkFailed);
-    fedprox_telemetry::counter!("net.participation.responded", responded as u64);
-    fedprox_telemetry::counter!("net.participation.crashed", crashed as u64);
-    fedprox_telemetry::counter!("net.participation.offline", offline as u64);
-    fedprox_telemetry::counter!("net.participation.link_failed", link_failed as u64);
-    fedprox_telemetry::counter!("net.round.deadline_miss", deadline_miss as u64);
-    if rec.skipped {
-        fedprox_telemetry::counter!("net.round.skipped", 1u64);
-    }
-    collector::record_event(Event::Participation {
-        round: rec.round as u32,
-        responded: responded as u32,
-        crashed: crashed as u32,
-        offline: offline as u32,
-        deadline_miss: deadline_miss as u32,
-        link_failed: link_failed as u32,
-        weight: rec.responder_weight,
-        skipped: u32::from(rec.skipped),
-    });
-}
-
-/// Pick the device a quorum skip is blamed on for the post-mortem
-/// marker: the first crashed device when any crashed, otherwise the
-/// first device that failed to respond for any other reason (offline,
-/// deadline miss, failed link). `None` when every device responded and
-/// the responding weight still missed quorum.
-#[cfg(feature = "telemetry")]
-fn attribute_skip(outcomes: &[DeviceOutcome]) -> Option<u32> {
-    outcomes
-        .iter()
-        .position(|o| *o == DeviceOutcome::Crashed)
-        .or_else(|| {
-            outcomes.iter().position(|o| {
-                !matches!(o, DeviceOutcome::Responded | DeviceOutcome::NotSelected)
-            })
-        })
-        .map(|d| d as u32)
 }
 
 /// Result of one logical transfer.
@@ -1233,6 +1088,15 @@ mod tests {
             .run(workers, vec![1.0], 3, &NetOptions::default(), |_, _| true)
             .expect("runtime");
         assert!(report.participation.is_empty());
+    }
+
+    #[test]
+    fn empty_federation_fails_typed() {
+        let workers: Vec<Box<dyn DeviceWorker>> = Vec::new();
+        let err = NetworkRuntime
+            .run(workers, vec![1.0], 3, &NetOptions::default(), |_, _| true)
+            .expect_err("no devices, no run");
+        assert_eq!(err, NetError::NoDevices);
     }
 
     #[test]

@@ -1,5 +1,12 @@
 //! The sharded virtual-time event loop.
 //!
+//! **Not on any engine path.** The round driver computes each device's
+//! finish directly (`((t0 + download) + compute) + upload`, the same
+//! additions this loop performs), because legs are independent and the
+//! completion order is never used. The loop and [`DeviceTiming`] stay
+//! only because the benchmark's traced replay (`fedbench/`) names them;
+//! they go when that replay is ported.
+//!
 //! The networked backend charges each device's download/compute/upload
 //! legs by iterating a worker vector; here the same legs become explicit
 //! **events** on a virtual-time priority queue, sharded by stable device
@@ -15,6 +22,8 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// One sampled device's three round-trip legs, in virtual seconds.
+/// (The driver uses `fedprox_net::clock::DeviceRoundTiming`; this type
+/// is kept for the benchmark replay only.)
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceTiming {
     /// Stable device id.
@@ -74,6 +83,7 @@ impl PartialOrd for Ev {
 }
 
 /// A virtual-time event loop over `S` shard heaps (shard = id mod S).
+/// Kept only for the benchmark replay; no backend runs it.
 ///
 /// Each device holds at most one pending event (its next leg boundary),
 /// so a round's queue size is bounded by the active set, never the

@@ -1,23 +1,24 @@
-//! fedsim — the third execution backend: an event-driven simulation
-//! runtime that scales federated training to million-device populations.
+//! fedsim — the event-driven execution backend that scales federated
+//! training to million-device populations.
 //!
 //! The thread-per-device actor runtime (`fedprox-net`) tops out at
 //! thousands of devices; here a device is a **compact passive state
 //! machine** — no thread, no channel, just its stable id, its (possibly
-//! lazily synthesized) shard, and per-(round, device) RNG streams —
-//! scheduled on a sharded virtual-time event loop ([`events`]) that
-//! lifts the clock and the fedresil fault/delay streams out of the
-//! actor loop. Per-round client sampling ([`sampler`]) bounds per-round
-//! memory by the **active set**, not the population:
+//! lazily synthesized) shard, and per-(round, device) RNG streams — and
+//! per-round client sampling bounds memory by the **active set**, not
+//! the population. The round itself is the shared driver in
+//! [`fedprox_core::driver`]; this crate is its event-driven front end:
 //!
-//! * [`population`] — materialized (shared `Device` slice) vs lazy
-//!   (power-law [`ZipfPopulation`] + [`SyntheticPool`]) populations,
-//! * [`sampler`] — uniform-K, weighted-by-`n_k`, and Bernoulli-p (with
-//!   1/p aggregation reweighting) client samplers,
-//! * [`events`] — the sharded virtual-time event loop,
-//! * [`engine`] — [`engine::SimEngine`], driving Algorithm 1 over a
-//!   population with the same `FedConfig` the other backends consume
-//!   (select it with `RunnerKind::EventDriven`).
+//! * [`engine`] — [`engine::SimEngine`], running Algorithm 1 over a
+//!   population with the event-driven timing model and the same
+//!   `FedConfig` the other backends consume (`FederatedTrainer` runs the
+//!   same path for `RunnerKind::EventDriven` over its own devices),
+//! * [`population`] / [`sampler`] — re-exports of the populations
+//!   (materialized, or power-law [`ZipfPopulation`] + [`SyntheticPool`])
+//!   and the uniform-K, weighted-by-`n_k` and Bernoulli-p samplers, which
+//!   live in `fedprox-core` next to the driver,
+//! * [`events`] — the sharded virtual-time event loop. No engine path
+//!   runs it; it stays only because the benchmark replay names it.
 //!
 //! **Correctness is inherited, not asserted**: on a materialized
 //! population with the [`SamplerSpec::Full`] sampler (p = 1) the engine
@@ -41,10 +42,9 @@
 
 pub mod engine;
 pub mod events;
-pub mod population;
-pub mod sampler;
 
-pub use engine::{RoundStats, SimEngine};
+pub use engine::SimEngine;
 pub use events::{DeviceTiming, ShardedEventLoop};
-pub use population::{LazyPopulation, Population};
-pub use sampler::Sampler;
+pub use fedprox_core::driver::RoundStats;
+pub use fedprox_core::{population, sampler};
+pub use fedprox_core::{LazyPopulation, Population, Sampler};

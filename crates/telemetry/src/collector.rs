@@ -706,13 +706,14 @@ impl Drop for SpanGuard {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    // The collector is process-global; serialize the tests that own it.
+    // The collector is process-global; serialize every test in the crate
+    // that opens spans or records into it (see `crate::tests`).
     static SERIAL: Mutex<()> = Mutex::new(());
 
-    fn guard() -> MutexGuard<'static, ()> {
+    pub(crate) fn guard() -> MutexGuard<'static, ()> {
         SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
     }
 

@@ -230,6 +230,10 @@ macro_rules! histogram {
 mod tests {
     #[test]
     fn macros_expand_in_statement_position() {
+        // With `enabled` on, these spans and metrics reach the global
+        // collector, so they must not land in another test's armed window.
+        #[cfg(feature = "enabled")]
+        let _g = crate::collector::tests::guard();
         let m = 3usize;
         let n = 4u32;
         crate::span!("tensor", "matmul", "m" => m, "n" => n);

@@ -142,6 +142,48 @@ fn faulted_full_sampling_matches_sequential_including_participation() {
     assert!(seq.participation.iter().any(|r| r.skipped), "fixture should skip rounds");
 }
 
+#[test]
+fn trainer_event_driven_is_the_engine_over_its_devices() {
+    let _g = lock();
+    let (devices, test) = federation(13);
+    let model = MultinomialLogistic::new(60, 10);
+    // Device 1 crashes at round 3, device 2 sits out rounds 2–4 and
+    // device 3 runs 6x slow, past the 0.5 s deadline; a 3-responder
+    // quorum then skips rounds 3 and 4. Jitter draws its own stream.
+    let resilience = Resilience::with_plan(
+        FaultPlan::new().crash(1, 3).offline(2, 2, 4).slow(3, 6.0, 1, 8),
+    )
+    .with_deadline(0.5)
+    .with_quorum(QuorumPolicy { min_responders: 3, ..QuorumPolicy::default() });
+    let opts = SimRunnerOptions::default().with_sec_per_grad_eval(1e-3).with_jitter(0.2);
+    let cfg = base_cfg()
+        .with_measure_theta(true)
+        .with_resilience(resilience)
+        .with_runner(RunnerKind::EventDriven(opts));
+    let trainer = FederatedTrainer::new(&model, &devices, &test, cfg.clone())
+        .run()
+        .expect("trainer");
+    let engine = SimEngine::new(&model, Population::Materialized(&devices), Some(&test), cfg)
+        .run()
+        .expect("engine");
+
+    assert_trajectories_match(&trainer, &engine, "event-driven");
+    for (a, b) in trainer.records.iter().zip(&engine.records) {
+        assert_eq!(a.sim_time.to_bits(), b.sim_time.to_bits(), "round {} sim_time", a.round);
+        assert_eq!(a.bytes, b.bytes, "round {} bytes", a.round);
+    }
+    assert_eq!(trainer.total_sim_time.to_bits(), engine.total_sim_time.to_bits());
+    assert_eq!(trainer.participation, engine.participation);
+    assert_eq!(trainer.config, engine.config);
+    // The fixture exercises what it claims to.
+    assert!(trainer.total_sim_time > 0.0);
+    assert!(trainer.records.last().is_some_and(|r| r.bytes > 0 && r.sim_time > 0.0));
+    let misses: usize =
+        trainer.participation.iter().map(|p| p.count(DeviceOutcome::DeadlineMiss)).sum();
+    assert!(misses > 0, "fixture should miss the deadline");
+    assert!(trainer.participation.iter().any(|p| p.skipped), "fixture should skip rounds");
+}
+
 fn lazy_population(devices: usize, seed: u64) -> LazyPopulation {
     let zipf = ZipfPopulation::new(devices, 40, 120, 1.5, 4.0, seed);
     let pool = SyntheticPool::new(SyntheticConfig { seed, ..Default::default() });
