@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # CI gate: build → test (default / check / telemetry / telemetry crate
-# armed) → clippy → fedlint →
-# fedtrace smoke → perf-smoke → fedscope-smoke → fedresil-smoke →
-# fedprof-smoke → fedobs-smoke → fedsim-smoke. Any failing stage fails
-# the run.
+# armed / bench --obs stream armed) → clippy → fedlint →
+# fedobs-summary smoke → perf-smoke → health-smoke → fedresil-smoke →
+# prof-smoke → fedobs-smoke → fedsim-smoke. Every smoke stage writes one
+# `--obs` file per run and reads it with `fedobs`. Any failing stage
+# fails the run.
 set -eu
 
 echo "==> cargo build --release"
@@ -20,6 +21,9 @@ cargo test -q --features telemetry
 
 echo "==> cargo test -q -p fedprox-telemetry --features enabled (collector suites armed)"
 cargo test -q -p fedprox-telemetry --features enabled
+
+echo "==> cargo test -q -p fedprox-bench --features telemetry (one --obs stream feeds every reader)"
+cargo test -q -p fedprox-bench --features telemetry
 
 # unwrap_used/expect_used are denied via [workspace.lints]; every
 # `#[allow]` escaping the deny must carry an adjacent justified
@@ -39,9 +43,9 @@ echo "==> fedlint-gate (check --baseline LINT_BASELINE.json --gate)"
 cargo run -q --release -p fedprox-conformance --bin fedlint -- \
     check --baseline LINT_BASELINE.json --gate
 
-echo "==> fedtrace smoke (summarize the checked-in fixture trace)"
-cargo run -q --release -p fedprox-telemetry --bin fedtrace -- \
-    crates/telemetry/tests/fixtures/sample_trace.jsonl >/dev/null
+echo "==> fedobs-summary smoke (summarize the checked-in fixture trace)"
+cargo run -q --release -p fedprox-obs --bin fedobs -- \
+    summary crates/telemetry/tests/fixtures/sample_trace.jsonl >/dev/null
 
 # perf-smoke: run the fedperf harness twice in --quick mode, validate the
 # emitted reports against the fedperf/v1 schema, and check the two runs are
@@ -73,11 +77,12 @@ cargo test -q --release -p fedprox-tensor --test cpu_reference
 cargo test -q --release -p fedprox --test determinism
 ./target/release/fedperf --baseline BENCH_seed.json --gate "${FEDPERF_GATE_RATIO:-3.0}"
 
-# fedscope-smoke: a tiny armed run writes a --health JSONL, `fedscope
-# check` validates its schema, the report renders, and a self-diff must
-# be regression-free (exit 0). Reuses the perf-smoke tmp dir + trap.
-echo "==> fedscope-smoke (armed tiny run -> schema check -> self-diff)"
-cat > "$PERF_TMP/fedscope_spec.json" <<'EOF'
+# health-smoke: a tiny armed run writes an --obs JSONL, `fedobs health
+# check` validates its health schema, the report renders, and a
+# self-diff must be regression-free (exit 0). Reuses the perf-smoke tmp
+# dir + trap.
+echo "==> health-smoke (armed tiny run -> schema check -> self-diff)"
+cat > "$PERF_TMP/health_spec.json" <<'EOF'
 {
   "dataset": {"kind": "synthetic", "alpha": 1.0, "beta": 1.0},
   "model": {"kind": "logistic"},
@@ -87,50 +92,50 @@ cat > "$PERF_TMP/fedscope_spec.json" <<'EOF'
 }
 EOF
 cargo build -q --release -p fedprox-bench --features telemetry
-cargo build -q --release -p fedprox-telemetry
-./target/release/fedrun "$PERF_TMP/fedscope_spec.json" \
-    --health "$PERF_TMP/health.jsonl" >/dev/null
-./target/release/fedscope check "$PERF_TMP/health.jsonl"
-./target/release/fedscope report "$PERF_TMP/health.jsonl" >/dev/null
-./target/release/fedscope diff "$PERF_TMP/health.jsonl" "$PERF_TMP/health.jsonl" >/dev/null
+cargo build -q --release -p fedprox-obs
+./target/release/fedrun "$PERF_TMP/health_spec.json" \
+    --obs "$PERF_TMP/health.jsonl" >/dev/null
+./target/release/fedobs health check "$PERF_TMP/health.jsonl"
+./target/release/fedobs health report "$PERF_TMP/health.jsonl" >/dev/null
+./target/release/fedobs health diff "$PERF_TMP/health.jsonl" "$PERF_TMP/health.jsonl" >/dev/null
 
 # fedresil-smoke: a short seeded faulted scenario (device crash at round 3
 # plus a 20% flaky link) must complete, record exactly the expected
 # participation (1 crashed device, 0 skipped rounds — enforced by the
-# --expect-* flags), and produce a health stream `fedscope check` accepts.
-# Reuses the telemetry-enabled bench build from the fedscope stage.
+# --expect-* flags), and produce an obs stream `fedobs health check`
+# accepts. Reuses the telemetry-enabled bench build from the health stage.
 echo "==> fedresil-smoke (seeded faulted scenario -> expected participation)"
 ./target/release/fedresil --devices 4 --rounds 6 --seed 11 \
     --crash 1:3 --flaky 2:0.2:1:6 \
-    --health "$PERF_TMP/resil_health.jsonl" \
+    --obs "$PERF_TMP/resil_health.jsonl" \
     --expect-crashed 1 --expect-skipped 0 >/dev/null
-./target/release/fedscope check "$PERF_TMP/resil_health.jsonl"
+./target/release/fedobs health check "$PERF_TMP/resil_health.jsonl"
 
-# fedprof-smoke: two identical-seed armed fig2 runs write --prof span-tree
-# profiles; `fedprof report` must render a ≥4-level tree, `fedprof flame`
+# prof-smoke: two identical-seed armed fig2 runs write --obs streams;
+# `fedobs prof report` must render a ≥4-level tree, `fedobs prof flame`
 # must emit well-formed collapsed stacks with no root-level
-# device_update/matvec/softmax stack, and `fedprof agg
+# device_update/matvec/softmax stack, and `fedobs prof agg
 # --check-deterministic` must find the deterministic columns (activation
 # counts, alloc bytes/calls) bitwise-identical across the two runs —
 # wall-clock columns are expected to differ and are reported as medians.
-# Reuses the telemetry-enabled bench build from the fedscope stage.
-echo "==> fedprof-smoke (two same-seed --prof runs -> report/flame -> zero-delta agg)"
+# Reuses the telemetry-enabled bench build from the health stage.
+echo "==> prof-smoke (two same-seed --obs runs -> prof report/flame -> zero-delta agg)"
 ./target/release/fig2_convex --scale small --rounds 3 --seed 7 \
-    --prof "$PERF_TMP/prof_a.jsonl" >/dev/null
+    --obs "$PERF_TMP/prof_a.jsonl" >/dev/null
 ./target/release/fig2_convex --scale small --rounds 3 --seed 7 \
-    --prof "$PERF_TMP/prof_b.jsonl" >/dev/null
-./target/release/fedprof report "$PERF_TMP/prof_a.jsonl" | grep -q "local_solve" \
-    || { echo "fedprof-smoke: report missing the local_solve path"; exit 1; }
-./target/release/fedprof flame "$PERF_TMP/prof_a.jsonl" > "$PERF_TMP/prof_a.flame"
+    --obs "$PERF_TMP/prof_b.jsonl" >/dev/null
+./target/release/fedobs prof report "$PERF_TMP/prof_a.jsonl" | grep -q "local_solve" \
+    || { echo "prof-smoke: report missing the local_solve path"; exit 1; }
+./target/release/fedobs prof flame "$PERF_TMP/prof_a.jsonl" > "$PERF_TMP/prof_a.flame"
 grep -Eq '^([^ ;]+;)+[^ ;]+ [0-9]+$' "$PERF_TMP/prof_a.flame" \
-    || { echo "fedprof-smoke: flame output has no nested collapsed stack"; exit 1; }
+    || { echo "prof-smoke: flame output has no nested collapsed stack"; exit 1; }
 # Fan-out workers nest their spans under the caller's open path, so no
 # device solve or kernel span may root a stack.
 if grep -Eq '^(device_update|matvec|softmax)[ ;]' "$PERF_TMP/prof_a.flame"; then
-    echo "fedprof-smoke: root-level device_update/matvec/softmax stack in flame output"
+    echo "prof-smoke: root-level device_update/matvec/softmax stack in flame output"
     exit 1
 fi
-./target/release/fedprof agg "$PERF_TMP/prof_a.jsonl" "$PERF_TMP/prof_b.jsonl" \
+./target/release/fedobs prof agg "$PERF_TMP/prof_a.jsonl" "$PERF_TMP/prof_b.jsonl" \
     --check-deterministic >/dev/null
 
 # fedobs-smoke: the correlation layer end to end. A faulted fedresil run
@@ -139,9 +144,8 @@ fi
 # and `fedobs postmortem` must blame the crashed device. Then two
 # same-seed runs must carry identical run-ledger headers (`fedobs ledger
 # diff` exits 0 and prints "identical"). Reuses the telemetry-enabled
-# bench build from the fedscope stage.
+# bench build and the fedobs build from the health stage.
 echo "==> fedobs-smoke (faulted --obs run -> postmortem blame -> ledger self-diff)"
-cargo build -q --release -p fedprox-obs
 ./target/release/fedresil --devices 3 --rounds 6 --seed 11 \
     --crash 1:3 --quorum-count 3 \
     --obs "$PERF_TMP/obs_a.jsonl" >/dev/null
@@ -168,7 +172,7 @@ cargo build -q --release -p fedprox-obs
 # exercises stable-id fault addressing on compact participation
 # records: the crash must still be counted although the final round
 # never samples the device. Reuses the telemetry-enabled bench build
-# from the fedscope stage.
+# from the health stage.
 echo "==> fedsim-smoke (two same-seed 100k-device sampled runs -> alloc bound + ledger diff)"
 ./target/release/fedsim --devices 100000 --rounds 4 --seed 29 --sample k:32 \
     --crash 28563:1 --expect-crashed 1 \

@@ -1,5 +1,7 @@
 //! Minimal CLI argument handling shared by the experiment binaries.
 
+use crate::trace::{RunInfo, TraceSession};
+
 /// Experiment scale preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -21,23 +23,11 @@ pub struct CommonArgs {
     pub seed: u64,
     /// Directory for JSON output (created if missing); `None` = print only.
     pub out: Option<String>,
-    /// Write a fedtrace JSONL event trace to this path (requires the
-    /// `telemetry` feature; warns and stays off otherwise). Default off.
-    pub trace: Option<String>,
-    /// Write a fedscope health JSONL trace (per-round `health` samples +
-    /// typed `anomaly` events, readable by the `fedscope` binary) to this
-    /// path. Same feature gate and warning path as `trace`. Default off.
-    pub health: Option<String>,
-    /// Write a fedprof span-tree profile (per-path `path_stat` records
-    /// with self/total time and — with the counting allocator compiled
-    /// in — bytes/allocs attribution, readable by the `fedprof` binary)
-    /// to this path. Same feature gate and warning path as `trace`.
-    /// Default off.
-    pub prof: Option<String>,
-    /// Write the correlated observability stream (run-ledger header +
-    /// simulation events + post-mortem markers, readable by the
-    /// `fedobs` binary) to this path. Same feature gate and warning
-    /// path as `trace`. Default off.
+    /// Stream the run's observability file (run-ledger header, spans,
+    /// round and health events, post-mortem markers, then the aggregate
+    /// tables; read by every `fedobs` subcommand) to this path. Requires
+    /// the `telemetry` feature; warns and stays off otherwise. Default
+    /// off.
     pub obs: Option<String>,
     /// Run on the simulated-network backend instead of the in-process
     /// parallel runner. Math is bit-identical (see
@@ -47,7 +37,7 @@ pub struct CommonArgs {
     pub net: bool,
     /// Tensor kernel selected by `--kernel` (`None` = leave the process
     /// default, tiled). Both kernels are bitwise interchangeable, so
-    /// this only changes speed — pair it with `--prof` to profile the
+    /// this only changes speed — pair it with `--obs` to profile the
     /// same run under the naive reference and the tiled kernel.
     pub kernel: Option<fedprox_tensor::kernel::Kernel>,
 }
@@ -59,9 +49,6 @@ impl Default for CommonArgs {
             rounds: None,
             seed: 1,
             out: None,
-            trace: None,
-            health: None,
-            prof: None,
             obs: None,
             net: false,
             kernel: None,
@@ -90,12 +77,24 @@ impl CommonArgs {
             self.scale, self.rounds, self.seed, self.net
         )
     }
+
+    /// Start this invocation's `--obs` session, its ledger identity
+    /// taken from [`describe`](CommonArgs::describe). Exits with a
+    /// message when the file cannot be created, before the run starts.
+    // Exiting with a message is the intended CLI behaviour here, as in
+    // `parse_args`.
+    #[allow(clippy::exit)]
+    pub fn start_obs(&self, program: &str) -> TraceSession {
+        let info = RunInfo::new(self.describe(program), self.seed);
+        TraceSession::start(self.obs.as_deref(), &info).unwrap_or_else(|e| {
+            eprintln!("{program}: {e}");
+            std::process::exit(2);
+        })
+    }
 }
 
 /// Parse `--scale small|paper`, `--rounds N`, `--seed N`, `--out DIR`,
-/// `--trace PATH`, `--health PATH`, `--prof PATH`, `--obs PATH`,
-/// `--net`, and
-/// `--kernel reference|tiled` from an iterator of CLI
+/// `--obs PATH`, `--net`, and `--kernel reference|tiled` from an iterator of CLI
 /// arguments (`--kernel` also applies the selection, process-wide).
 /// Unknown flags abort with a usage message naming `program`.
 // Exiting with a usage message is the intended CLI behaviour here, not
@@ -151,15 +150,12 @@ pub fn parse_args(program: &str, argv: impl Iterator<Item = String>) -> CommonAr
                 fedprox_tensor::kernel::set_kernel(k);
                 args.kernel = Some(k);
             }
-            "--trace" => args.trace = Some(value("--trace")),
-            "--health" => args.health = Some(value("--health")),
-            "--prof" => args.prof = Some(value("--prof")),
             "--obs" => args.obs = Some(value("--obs")),
             "--net" => args.net = true,
             "--help" | "-h" => {
                 println!(
                     "usage: {program} [--scale small|paper] [--rounds N] [--seed N] [--out DIR] \
-                     [--trace PATH] [--health PATH] [--prof PATH] [--obs PATH] [--net] \
+                     [--obs PATH] [--net] \
                      [--kernel reference|tiled]"
                 );
                 std::process::exit(0);
@@ -188,9 +184,6 @@ mod tests {
         assert_eq!(a.rounds, None);
         assert_eq!(a.seed, 1);
         assert!(a.out.is_none());
-        assert!(a.trace.is_none(), "--trace must default to off");
-        assert!(a.health.is_none(), "--health must default to off");
-        assert!(a.prof.is_none(), "--prof must default to off");
         assert!(a.obs.is_none(), "--obs must default to off");
         assert!(!a.net, "--net must default to off");
         assert!(matches!(a.runner(), fedprox_core::RunnerKind::Parallel));
@@ -199,17 +192,13 @@ mod tests {
     #[test]
     fn full_flags() {
         let a = parse(&[
-            "--scale", "paper", "--rounds", "42", "--seed", "9", "--out", "/tmp/x", "--trace",
-            "/tmp/t.jsonl", "--health", "/tmp/h.jsonl", "--prof", "/tmp/p.jsonl", "--obs",
+            "--scale", "paper", "--rounds", "42", "--seed", "9", "--out", "/tmp/x", "--obs",
             "/tmp/o.jsonl", "--net",
         ]);
         assert_eq!(a.scale, Scale::Paper);
         assert_eq!(a.rounds, Some(42));
         assert_eq!(a.seed, 9);
         assert_eq!(a.out.as_deref(), Some("/tmp/x"));
-        assert_eq!(a.trace.as_deref(), Some("/tmp/t.jsonl"));
-        assert_eq!(a.health.as_deref(), Some("/tmp/h.jsonl"));
-        assert_eq!(a.prof.as_deref(), Some("/tmp/p.jsonl"));
         assert_eq!(a.obs.as_deref(), Some("/tmp/o.jsonl"));
         assert!(a.net);
         assert!(matches!(a.runner(), fedprox_core::RunnerKind::Network(_)));

@@ -6,7 +6,7 @@
 //! on): τ bounds at representative β and the β_min/τ solution of
 //! eqs. (15)/(16).
 
-use fedprox_bench::{parse_args, write_json, RunInfo, TraceSession};
+use fedprox_bench::{parse_args, write_json};
 use fedprox_core::paramopt::{self, OptimalParams};
 use fedprox_core::theory::{Lemma1, TheoryParams};
 
@@ -14,14 +14,7 @@ fn main() {
     let args = parse_args("fig1_param_opt", std::env::args().skip(1));
     // No federated training happens here (pure theory evaluation), but
     // the flags behave uniformly across all experiment binaries.
-    let info = RunInfo::new(args.describe("fig1_param_opt"), args.seed);
-    let trace = TraceSession::start_run(
-        args.trace.as_deref(),
-        args.health.as_deref(),
-        args.prof.as_deref(),
-        args.obs.as_deref(),
-        &info,
-    );
+    let trace = args.start_obs("fig1_param_opt");
 
     // The γ axis of Fig. 1 (log-spaced).
     let gammas: Vec<f64> = (0..=16).map(|i| 10f64.powf(-4.0 + i as f64 * 0.25)).collect();

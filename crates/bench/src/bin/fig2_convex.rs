@@ -8,9 +8,7 @@
 // the intended error policy (fedlint exempts src/bin targets too).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use fedprox_bench::plot::{write_svg, Metric, PlotOptions};
-use fedprox_bench::{
-    fashion_federation, parse_args, print_histories, write_json, RunInfo, Scale, TraceSession,
-};
+use fedprox_bench::{fashion_federation, parse_args, print_histories, write_json, Scale};
 use fedprox_core::theory::Lemma1;
 use fedprox_core::{Algorithm, FedConfig, FederatedTrainer};
 use fedprox_models::MultinomialLogistic;
@@ -18,14 +16,7 @@ use fedprox_optim::estimator::EstimatorKind;
 
 fn main() {
     let args = parse_args("fig2_convex", std::env::args().skip(1));
-    let info = RunInfo::new(args.describe("fig2_convex"), args.seed);
-    let trace = TraceSession::start_run(
-        args.trace.as_deref(),
-        args.health.as_deref(),
-        args.prof.as_deref(),
-        args.obs.as_deref(),
-        &info,
-    );
+    let trace = args.start_obs("fig2_convex");
     // Paper scale: 100 devices, shard sizes [37, 1350], B = 32, T ≈ 200
     // evaluated rounds. Small scale keeps the *batch-to-shard ratio* of
     // the paper (B ≈ 2–8% of a shard) — that ratio controls the gradient

@@ -7,23 +7,14 @@
 // the intended error policy (fedlint exempts src/bin targets too).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use fedprox_bench::plot::{write_svg, Metric, PlotOptions};
-use fedprox_bench::{
-    mnist_federation, parse_args, print_histories, write_json, RunInfo, Scale, TraceSession,
-};
+use fedprox_bench::{mnist_federation, parse_args, print_histories, write_json, Scale};
 use fedprox_core::{Algorithm, FedConfig, FederatedTrainer};
 use fedprox_models::{Cnn, CnnSpec};
 use fedprox_optim::estimator::EstimatorKind;
 
 fn main() {
     let args = parse_args("fig3_nonconvex", std::env::args().skip(1));
-    let info = RunInfo::new(args.describe("fig3_nonconvex"), args.seed);
-    let trace = TraceSession::start_run(
-        args.trace.as_deref(),
-        args.health.as_deref(),
-        args.prof.as_deref(),
-        args.obs.as_deref(),
-        &info,
-    );
+    let trace = args.start_obs("fig3_nonconvex");
     // Paper scale: 10 devices, sizes [454, 3939], full 32/64-channel CNN.
     // Small: 6 devices, a scaled-down CNN (identical code paths).
     // Small scale keeps the paper's batch-to-shard ratio (see

@@ -16,9 +16,7 @@
 // the intended error policy (fedlint exempts src/bin targets too).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use fedprox_bench::plot::{write_svg, Metric, PlotOptions};
-use fedprox_bench::{
-    parse_args, print_histories, synthetic_federation, write_json, RunInfo, Scale, TraceSession,
-};
+use fedprox_bench::{parse_args, print_histories, synthetic_federation, write_json, Scale};
 use fedprox_core::{Algorithm, FedConfig, FederatedTrainer};
 use fedprox_models::MultinomialLogistic;
 use fedprox_optim::estimator::EstimatorKind;
@@ -26,14 +24,7 @@ use fedprox_optim::solver::IterateChoice;
 
 fn main() {
     let args = parse_args("fig4_mu_effect", std::env::args().skip(1));
-    let info = RunInfo::new(args.describe("fig4_mu_effect"), args.seed);
-    let trace = TraceSession::start_run(
-        args.trace.as_deref(),
-        args.health.as_deref(),
-        args.prof.as_deref(),
-        args.obs.as_deref(),
-        &info,
-    );
+    let trace = args.start_obs("fig4_mu_effect");
     let (devices_n, lo, hi, rounds, eval_every) = match args.scale {
         Scale::Paper => (100, 37, 3277, 200, 5),
         Scale::Small => (10, 30, 120, 50, 1),

@@ -5,7 +5,7 @@
 // CLI binary: aborting with context on a broken invocation or run is
 // the intended error policy (fedlint exempts src/bin targets too).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use fedprox_bench::{mnist_federation, parse_args, write_json, RunInfo, Scale, TraceSession};
+use fedprox_bench::{mnist_federation, parse_args, write_json, Scale};
 use fedprox_core::search::{random_search, SearchSpace};
 use fedprox_core::{Algorithm, FedConfig};
 use fedprox_models::{Cnn, CnnSpec};
@@ -13,14 +13,7 @@ use fedprox_optim::estimator::EstimatorKind;
 
 fn main() {
     let args = parse_args("table2_nonconvex", std::env::args().skip(1));
-    let info = RunInfo::new(args.describe("table2_nonconvex"), args.seed);
-    let trace = TraceSession::start_run(
-        args.trace.as_deref(),
-        args.health.as_deref(),
-        args.prof.as_deref(),
-        args.obs.as_deref(),
-        &info,
-    );
+    let trace = args.start_obs("table2_nonconvex");
     let (devices_n, lo, hi, trials, spec, space) = match args.scale {
         Scale::Paper => (
             10,

@@ -18,10 +18,12 @@
 //! deadlines exclude a device from the round instead of erroring the
 //! run, aggregation renormalizes weights over the responder set, and
 //! rounds below quorum are skipped-and-counted. Every round then yields
-//! a [`RoundParticipation`] record in the report. Randomness in this
-//! mode comes from per-(round, device) streams ([`stream_rng`]) consumed
-//! in a fixed intra-device order (downlink → uplink → jitter), so reply
-//! arrival order cannot perturb the draw sequence.
+//! a [`RoundParticipation`] record in the report.
+//!
+//! In both modes every link delay, drop and jitter draw comes from a
+//! per-(round, device) stream ([`stream_rng`]) consumed in a fixed
+//! intra-device order (downlink → uplink → jitter), so reply arrival
+//! order cannot perturb the virtual clock.
 
 use crate::clock::{DeviceRoundTiming, VirtualClock};
 use crate::codec;
@@ -32,7 +34,7 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use fedprox_faults::{stream_rng, DeviceOutcome, Resilience, RetryPolicy, RoundParticipation};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::fmt;
 
 /// Transport-layer failure of a networked run.
@@ -353,7 +355,6 @@ impl NetworkRuntime {
         }
         let (reply_tx, reply_rx) = unbounded::<Bytes>();
 
-        let mut rng = StdRng::seed_from_u64(opts.seed ^ 0x6E75);
         let mut clock = VirtualClock::new();
         let mut retransmissions = 0u64;
         let mut round_durations = Vec::new();
@@ -363,6 +364,12 @@ impl NetworkRuntime {
         let mut global = initial;
         let mut rounds_run = 0;
         let resil = opts.resilience.as_ref();
+        // A link's drop probability: the fault plan may raise it for a
+        // device in a round.
+        let drop_prob = |d: usize, s: usize| match resil {
+            Some(r) => opts.drop_prob.max(r.plan.drop_prob(d, s)),
+            None => opts.drop_prob,
+        };
         // Devices gone for good: planned crashes once their round
         // arrives, plus panicked workers under a crash-tolerant policy.
         let mut dead = vec![false; n];
@@ -373,7 +380,7 @@ impl NetworkRuntime {
                 workers.into_iter().zip(device_rx).enumerate()
             {
                 let reply_tx = reply_tx.clone();
-                // fedlint: allow(spawn-ordering) — reply arrival order is immaterial: the server collects into per-device slots and aggregates in id order (see `slots` below), and resilient-mode RNG draws come from per-(round, device) streams
+                // fedlint: allow(spawn-ordering) — reply arrival order is immaterial: the server collects into per-device slots and aggregates in id order (see `slots` below), and every delay, drop and jitter draw comes from a per-(round, device) stream
                 scope.spawn(move |_| {
                     while let Ok(frame) = rx.recv() {
                         // Frames come from `codec::encode` in this very
@@ -492,32 +499,19 @@ impl NetworkRuntime {
                         if *outcome != DeviceOutcome::Responded {
                             continue;
                         }
-                        let transfer = if let Some(resil) = resil {
-                            // Per-(round, device) stream, consumed in a
-                            // fixed order (downlink now, uplink and jitter
-                            // at reply time), so draws are independent of
-                            // reply arrival order.
-                            let mut dev_rng =
-                                stream_rng(opts.seed ^ 0x6E75, s as u64, d as u64);
-                            let p = opts.drop_prob.max(resil.plan.drop_prob(d, s));
-                            let t = simulate_transfer(
-                                &opts.downlink,
-                                down_len,
-                                p,
-                                &mut dev_rng,
-                                &opts.retry,
-                            );
-                            streams[d] = Some(dev_rng);
-                            t
-                        } else {
-                            simulate_transfer(
-                                &opts.downlink,
-                                down_len,
-                                opts.drop_prob,
-                                &mut rng,
-                                &opts.retry,
-                            )
-                        };
+                        // Per-(round, device) stream, consumed in a fixed
+                        // order (downlink now, uplink and jitter at reply
+                        // time), so draws are independent of reply
+                        // arrival order.
+                        let mut dev_rng = stream_rng(opts.seed ^ 0x6E75, s as u64, d as u64);
+                        let transfer = simulate_transfer(
+                            &opts.downlink,
+                            down_len,
+                            drop_prob(d, s),
+                            &mut dev_rng,
+                            &opts.retry,
+                        );
+                        streams[d] = Some(dev_rng);
                         match transfer {
                             Transfer::Delivered { delay, retries } => {
                                 downloads[d] = delay;
@@ -590,70 +584,46 @@ impl NetworkRuntime {
                                     compute_time * opts.compute_multiplier_for(d);
                                 if let Some(resil) = resil {
                                     compute *= resil.plan.slow_factor(d, s);
-                                    let dev_rng = streams[d]
-                                        .as_mut()
-                                        .ok_or(NetError::UnexpectedMessage)?;
-                                    let p = opts.drop_prob.max(resil.plan.drop_prob(d, s));
-                                    let transfer = simulate_transfer(
-                                        &opts.uplink,
-                                        up_len,
-                                        p,
-                                        dev_rng,
-                                        &opts.retry,
-                                    );
-                                    if let Some(jitter) = &opts.compute_jitter {
-                                        compute *= jitter.sample(dev_rng);
-                                    }
-                                    match transfer {
-                                        Transfer::Delivered { delay, retries } => {
-                                            retransmissions += retries;
-                                            clock.record_traffic(0, (retries + 1) * up_len as u64);
-                                            let timing = DeviceRoundTiming {
-                                                download: downloads[d],
-                                                compute,
-                                                upload: delay,
-                                            };
-                                            let missed = resil
-                                                .deadline_s
-                                                .is_some_and(|deadline| timing.total() > deadline);
-                                            timings[d] = timing;
-                                            if missed {
-                                                outcomes[d] = DeviceOutcome::DeadlineMiss;
-                                            } else {
-                                                slots[d] = Some((params, weight));
-                                            }
-                                        }
-                                        Transfer::Exhausted { wasted, retries } => {
-                                            retransmissions += retries;
-                                            clock.record_traffic(0, (retries + 1) * up_len as u64);
-                                            outcomes[d] = DeviceOutcome::LinkFailed;
-                                            failed_elapsed[d] = downloads[d] + compute + wasted;
-                                        }
-                                    }
-                                } else {
-                                    match simulate_transfer(
-                                        &opts.uplink,
-                                        up_len,
-                                        opts.drop_prob,
-                                        &mut rng,
-                                        &opts.retry,
-                                    ) {
-                                        Transfer::Delivered { delay, retries } => {
-                                            retransmissions += retries;
-                                            clock.record_traffic(0, (retries + 1) * up_len as u64);
-                                            if let Some(jitter) = &opts.compute_jitter {
-                                                compute *= jitter.sample(&mut rng);
-                                            }
-                                            timings[d] = DeviceRoundTiming {
-                                                download: downloads[d],
-                                                compute,
-                                                upload: delay,
-                                            };
+                                }
+                                let dev_rng =
+                                    streams[d].as_mut().ok_or(NetError::UnexpectedMessage)?;
+                                let transfer = simulate_transfer(
+                                    &opts.uplink,
+                                    up_len,
+                                    drop_prob(d, s),
+                                    dev_rng,
+                                    &opts.retry,
+                                );
+                                if let Some(jitter) = &opts.compute_jitter {
+                                    compute *= jitter.sample(dev_rng);
+                                }
+                                match transfer {
+                                    Transfer::Delivered { delay, retries } => {
+                                        retransmissions += retries;
+                                        clock.record_traffic(0, (retries + 1) * up_len as u64);
+                                        let timing = DeviceRoundTiming {
+                                            download: downloads[d],
+                                            compute,
+                                            upload: delay,
+                                        };
+                                        let missed = resil
+                                            .and_then(|r| r.deadline_s)
+                                            .is_some_and(|deadline| timing.total() > deadline);
+                                        timings[d] = timing;
+                                        if missed {
+                                            outcomes[d] = DeviceOutcome::DeadlineMiss;
+                                        } else {
                                             slots[d] = Some((params, weight));
                                         }
-                                        Transfer::Exhausted { .. } => {
+                                    }
+                                    Transfer::Exhausted { wasted, retries } => {
+                                        if resil.is_none() {
                                             return Err(NetError::RetryLimit);
                                         }
+                                        retransmissions += retries;
+                                        clock.record_traffic(0, (retries + 1) * up_len as u64);
+                                        outcomes[d] = DeviceOutcome::LinkFailed;
+                                        failed_elapsed[d] = downloads[d] + compute + wasted;
                                     }
                                 }
                             }
@@ -1325,9 +1295,12 @@ mod tests {
     }
 
     /// The per-device reply threads race on the shared reply channel, but
-    /// collection goes into per-device slots aggregated in id order — so
-    /// repeated runs must be bitwise identical even with jittery links
-    /// making arrival order genuinely nondeterministic. Guards the
+    /// collection goes into per-device slots aggregated in id order and
+    /// every delay, drop and jitter draw comes from a per-(round, device)
+    /// stream — so repeated runs must be bitwise identical, model and
+    /// virtual clock, even with jittery links making arrival order
+    /// genuinely nondeterministic. The two stragglers differ, so a swapped
+    /// jitter draw changes the round's maximum. Guards the
     /// `spawn-ordering` allowance on the actor spawn.
     #[test]
     fn repeated_networked_runs_are_bitwise_identical() {
@@ -1340,10 +1313,13 @@ mod tests {
                     latency: DelayModel::LogNormal { mu: -4.0, sigma: 1.0 },
                     bytes_per_sec: f64::INFINITY,
                 },
-                drop_prob: 0.2,
+                drop_prob: 0.1,
+                compute_jitter: Some(DelayModel::LogNormal { mu: 0.0, sigma: 0.5 }),
                 seed: 77,
                 ..Default::default()
-            };
+            }
+            .with_straggler(1, 3.0)
+            .with_straggler(4, 7.0);
             let mut traj: Vec<u64> = Vec::new();
             let report = NetworkRuntime
                 .run(workers, vec![0.0, 0.0], 20, &opts, |_, g| {
@@ -1351,12 +1327,20 @@ mod tests {
                     true
                 })
                 .expect("runtime");
-            (traj, report.final_model.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (
+                traj,
+                bits(&report.final_model),
+                bits(&report.round_durations),
+                report.clock.now().to_bits(),
+            )
         };
-        let (traj_a, final_a) = run();
-        let (traj_b, final_b) = run();
+        let (traj_a, final_a, durations_a, now_a) = run();
+        let (traj_b, final_b, durations_b, now_b) = run();
         assert_eq!(traj_a, traj_b, "per-round globals must be bitwise stable");
         assert_eq!(final_a, final_b);
+        assert_eq!(durations_a, durations_b, "round durations must be bitwise stable");
+        assert_eq!(now_a, now_b, "the virtual clock must be bitwise stable");
     }
 
     #[test]
@@ -1381,12 +1365,18 @@ mod tests {
         let (resil_traj, resil) = run(true);
         // The model trajectory is bitwise-identical: delays never touch
         // the math, and full participation aggregates in id order in both
-        // modes. (Simulated time differs — the RNG scheme changes.)
+        // modes. Both modes draw from the same per-(round, device)
+        // streams, so the virtual clock is bitwise-identical too.
         assert_eq!(strict_traj, resil_traj);
         assert_eq!(
             strict.final_model.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             resil.final_model.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
+        assert_eq!(
+            strict.round_durations.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            resil.round_durations.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        );
+        assert_eq!(strict.clock.now().to_bits(), resil.clock.now().to_bits());
         assert_eq!(resil.participation.len(), 15);
         assert!(resil.participation.iter().all(|r| r.responders() == 2 && !r.skipped));
     }

@@ -122,7 +122,8 @@ fn probe() -> (u64, u64) {
     (s.bytes, s.calls)
 }
 
-/// Hand the counting allocator to `fedprof`: registers [`thread_stats`]
+/// Hand the counting allocator to the span-tree profile (`fedobs prof`):
+/// registers [`thread_stats`]
 /// as the telemetry collector's allocation probe so armed span trees
 /// attribute bytes/allocs to the innermost open span of the allocating
 /// thread. Call before arming; a no-op

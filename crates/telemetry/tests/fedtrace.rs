@@ -1,5 +1,5 @@
 //! Integration: the checked-in fixture trace (also used by the ci.sh
-//! `fedtrace` smoke stage) parses and summarizes to the expected tables.
+//! `fedobs summary` smoke stage) parses and summarizes to the expected tables.
 
 // Module-level helpers sit outside #[test] fns, where clippy.toml's
 // allow-expect-in-tests does not reach.

@@ -5,10 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! With `--features telemetry`, pass `--trace PATH` to also record a
-//! fedtrace JSONL event trace of the run and print its summary tables,
-//! and/or `--prof PATH` to record a fedprof span-tree profile (inspect
-//! with `fedprof report PATH`).
+//! With `--features telemetry`, pass `--obs PATH` to also stream the
+//! run's observability file (spans, span tree, counters; inspect with
+//! `fedobs summary PATH` or `fedobs prof report PATH`).
 
 // Example code: panicking with context keeps the walkthrough focused
 // on the federated-learning API rather than error plumbing.
@@ -20,12 +19,12 @@ use fedprox::data::split::split_federation;
 use fedprox::data::synthetic::{generate, SyntheticConfig};
 use fedprox::models::MultinomialLogistic;
 
-/// Minimal hand-rolled scan for `--flag PATH` (the example deliberately
+/// Minimal hand-rolled scan for `--obs PATH` (the example deliberately
 /// has no argument-parsing dependency).
-fn path_from_args(flag: &str) -> Option<String> {
+fn obs_path_from_args() -> Option<String> {
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
-        if arg == flag {
+        if arg == "--obs" {
             return argv.next();
         }
     }
@@ -33,21 +32,16 @@ fn path_from_args(flag: &str) -> Option<String> {
 }
 
 fn main() {
-    let trace_path = path_from_args("--trace");
-    let prof_path = path_from_args("--prof");
+    let obs_path = obs_path_from_args();
     #[cfg(feature = "telemetry")]
-    if trace_path.is_some() || prof_path.is_some() {
+    if let Some(path) = &obs_path {
+        // Arm, then stream raw events to the file as the run goes.
         fedprox_telemetry::collector::arm();
+        fedprox_telemetry::collector::stream_to(path).expect("create the --obs file");
     }
     #[cfg(not(feature = "telemetry"))]
-    for (flag, requested) in
-        [("--trace", trace_path.is_some()), ("--prof", prof_path.is_some())]
-    {
-        if requested {
-            eprintln!(
-                "warning: {flag} ignored: rebuild with `--features telemetry` to record it"
-            );
-        }
+    if obs_path.is_some() {
+        eprintln!("warning: --obs ignored: rebuild with `--features telemetry` to record it");
     }
 
     // 1. A heterogeneous federation: 8 devices, power-law-ish sizes,
@@ -91,35 +85,16 @@ fn main() {
         );
     }
 
+    // Drain what is still buffered into the stream and append the
+    // aggregate tail (span tree, counters, histograms).
     #[cfg(feature = "telemetry")]
-    if trace_path.is_some() || prof_path.is_some() {
-        use fedprox_telemetry::event::Event;
-        use fedprox_telemetry::{collector, jsonl, summary};
-        let events = collector::drain();
+    if let Some(path) = obs_path {
+        use fedprox_telemetry::{collector, jsonl};
+        use std::io::Write as _;
+        let tail = collector::drain();
         collector::disarm();
-        if let Some(path) = trace_path {
-            match std::fs::write(&path, jsonl::to_jsonl(&events)) {
-                Ok(()) => println!("trace: {} events written to {path}", events.len()),
-                Err(e) => eprintln!("trace: failed to write {path}: {e}"),
-            }
-            print!("{}", summary::TelemetryReport::from_events(&events).render(10));
-        }
-        if let Some(path) = prof_path {
-            let prof: Vec<Event> = events
-                .iter()
-                .filter(|e| matches!(e, Event::PathStat { .. } | Event::TraceTruncated { .. }))
-                .cloned()
-                .collect();
-            match std::fs::write(&path, jsonl::to_jsonl(&prof)) {
-                Ok(()) => println!(
-                    "prof: {} span-tree paths written to {path} \
-                     (inspect with `fedprof report {path}`)",
-                    prof.len()
-                ),
-                Err(e) => eprintln!("prof: failed to write {path}: {e}"),
-            }
-        }
+        let mut file = std::fs::OpenOptions::new().append(true).open(&path).expect("reopen");
+        file.write_all(jsonl::to_jsonl(&tail).as_bytes()).expect("append the aggregate tail");
+        println!("obs: run stream written to {path} (`fedobs summary {path}`)");
     }
-    #[cfg(not(feature = "telemetry"))]
-    drop((trace_path, prof_path));
 }
