@@ -359,6 +359,9 @@ pub enum SpecError {
     Zero(&'static str),
     /// `min_size` is zero or above `max_size`.
     SizeRange(usize, usize),
+    /// A key repeated within one JSON object (the parser would keep the
+    /// first value and silently drop the rest); the dotted path names it.
+    DuplicateKey(String),
     /// A CLI flag this spec kind never reads.
     UnusedOverride(&'static str, &'static str),
     /// Any other out-of-range value or inconsistent combination.
@@ -377,6 +380,7 @@ impl fmt::Display for SpecError {
             ),
             SpecError::Zero(what) => write!(f, "`{what}` must be positive"),
             SpecError::SizeRange(lo, hi) => write!(f, "need 1 <= min_size <= max_size, got {lo}..{hi}"),
+            SpecError::DuplicateKey(key) => write!(f, "duplicate field `{key}`"),
             SpecError::UnusedOverride(flag, kind) => write!(f, "{flag} does not apply to a {kind} spec"),
         }
     }
@@ -419,11 +423,34 @@ fn unknown_key(raw: &Value, known: &Value, path: &str) -> Option<String> {
     }
 }
 
+/// First key of `raw` that repeats within one object, at any depth.
+fn duplicate_key(raw: &Value, path: &str) -> Option<String> {
+    let join = |key: &str| if path.is_empty() { key.to_string() } else { format!("{path}.{key}") };
+    match raw {
+        Value::Object(fields) => fields.iter().enumerate().find_map(|(i, (key, v))| {
+            if fields.iter().take(i).any(|(k, _)| k == key) {
+                Some(join(key))
+            } else {
+                duplicate_key(v, &join(key))
+            }
+        }),
+        Value::Array(items) => items
+            .iter()
+            .enumerate()
+            .find_map(|(i, v)| duplicate_key(v, &format!("{path}[{i}]"))),
+        _ => None,
+    }
+}
+
 impl Spec {
-    /// Parse a spec file's text; a key no field reads is refused.
+    /// Parse a spec file's text; a repeated key or a key no field reads
+    /// is refused.
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
         let parse = |e: &dyn fmt::Display| SpecError::Parse(e.to_string());
         let raw: Value = serde_json::from_str(text).map_err(|e| parse(&e))?;
+        if let Some(key) = duplicate_key(&raw, "") {
+            return Err(SpecError::DuplicateKey(key));
+        }
         let spec = Spec::from_value(&raw).map_err(|e| parse(&e))?;
         match unknown_key(&raw, &spec.to_value(), "") {
             Some(key) => Err(SpecError::Parse(format!("unknown field `{key}`"))),
@@ -495,6 +522,12 @@ impl ExperimentSpec {
             _ => ((0.0, 0.0), None),
         };
         let synthetic = matches!(self.dataset, DatasetSpec::Synthetic { .. });
+        let bad_variance = match self.dataset {
+            DatasetSpec::Synthetic { alpha, beta } => {
+                [alpha, beta].iter().any(|v| !(v.is_finite() && *v >= 0.0))
+            }
+            _ => false,
+        };
         let (settings, search) = (&self.settings, &self.search);
         // A search writes one file; each training run writes its own.
         let apart = |n: usize, ph: &[&str]| {
@@ -529,6 +562,7 @@ impl ExperimentSpec {
             (apart(settings.len(), &["{tag}", "{label}"]),
                 "`out` must name {tag} or {label}: several settings"),
             (apart(self.seeds, &["{seed}"]), "`out` must name {seed}: several seeds"),
+            (bad_variance, "synthetic `alpha` and `beta` must be finite and >= 0"),
             (self.image.is_some() && synthetic, "`image` applies to image datasets only"),
             (self.image.as_ref().is_some_and(|i| !(1..=28).contains(&i.side) || i.classes == 0),
                 "`image` needs side in 1..=28 and classes >= 1"),
@@ -736,6 +770,13 @@ pub(crate) mod tests {
             (ExperimentSpec { devices: 0, ..base.clone() }, "`devices` must be positive"),
             (ExperimentSpec { rounds: 0, ..base.clone() }, "`rounds` must be positive"),
             (ExperimentSpec { min_size: 70, ..base.clone() }, "min_size <= max_size, got 70..60"),
+            (
+                ExperimentSpec {
+                    dataset: DatasetSpec::Synthetic { alpha: f64::INFINITY, beta: 1.0 },
+                    ..base.clone()
+                },
+                "synthetic `alpha` and `beta` must be finite and >= 0",
+            ),
         ];
         for (spec, want) in cases {
             let err = resolve(spec).unwrap_err().to_string();
@@ -743,6 +784,22 @@ pub(crate) mod tests {
         }
         let err = Spec::from_json(&SPEC.replace("\"rounds\"", "\"round\"")).unwrap_err();
         assert_eq!(err, SpecError::Parse("unknown field `round`".into()));
+    }
+
+    #[test]
+    fn duplicate_keys_are_refused_at_any_depth() {
+        let top = SPEC.replace("\"seed\": 5", r#""seed": 5, "seed": 6"#);
+        assert_eq!(Spec::from_json(&top).unwrap_err(), SpecError::DuplicateKey("seed".into()));
+        let nested = SPEC.replace(
+            "\"seed\": 5",
+            r#""seed": 5, "settings": [{"label": "a"}, {"label": "b", "tau": 3, "tau": 4}]"#,
+        );
+        assert_eq!(Spec::from_json(&nested).unwrap_err(), SpecError::DuplicateKey("settings[1].tau".into()));
+        let object = SPEC.replace(
+            "\"seed\": 5",
+            r#""seed": 5, "backend": {"kind": "net", "drop_prob": 0.1, "drop_prob": 0.2}"#,
+        );
+        assert_eq!(Spec::from_json(&object).unwrap_err(), SpecError::DuplicateKey("backend.drop_prob".into()));
     }
 
     #[test]

@@ -77,6 +77,19 @@ fn invalid_spec_exits_2_before_the_obs_file_exists() {
 }
 
 #[test]
+fn duplicate_spec_key_exits_2() {
+    let dir = scratch("dup");
+    let spec_path = dir.join("dup.json");
+    let dup = SPEC.replace(r#""algorithms": ["fedavg", "fedproxvr-svrg"],"#, r#""algorithms": ["fedavg"], "algorithms": ["fedproxvr-svrg"],"#);
+    std::fs::write(&spec_path, dup).unwrap();
+    let out = fedrun(&[spec_path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("invalid spec") && stderr.contains("duplicate field `algorithms`"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn overrides_a_spec_kind_never_reads_exit_2() {
     for (spec, flags, kind) in [
         ("table1.small.json", &["--rounds", "3"][..], "search"),

@@ -19,28 +19,56 @@ pub fn power_law_sizes(
 ) -> Vec<usize> {
     assert!(min_size >= 1 && max_size >= min_size, "power_law_sizes: bad range");
     assert!(alpha > 0.0, "power_law_sizes: alpha must be positive");
+    let law = BoundedPareto::new(min_size, max_size, alpha);
     let mut rng = device_rng(seed, 0x51AE);
-    (0..devices)
-        .map(|_| {
-            let u: f64 = rng.gen_range(0.0..1.0);
-            bounded_pareto(u, min_size, max_size, alpha)
-        })
-        .collect()
+    (0..devices).map(|_| law.size_at(rng.gen_range(0.0..1.0))).collect()
 }
 
-/// Inverse-CDF sample of a bounded discrete power law
-/// `P(size = s) ∝ s^{-alpha}` over `[min_size, max_size]` at quantile
-/// `u ∈ [0, 1)` (continuous bounded Pareto, rounded).
-fn bounded_pareto(u: f64, min_size: usize, max_size: usize, alpha: f64) -> usize {
-    let a = 1.0 - alpha;
-    let (lo, hi) = (min_size as f64, max_size as f64);
-    let s = if (a.abs()) < 1e-9 {
-        // alpha == 1: log-uniform.
-        (lo.ln() + u * (hi.ln() - lo.ln())).exp()
-    } else {
-        (lo.powf(a) + u * (hi.powf(a) - lo.powf(a))).powf(1.0 / a)
-    };
-    (s.round() as usize).clamp(min_size, max_size)
+/// A bounded discrete power law `P(size = s) ∝ s^{-alpha}` over
+/// `[min_size, max_size]`, sampled by inverse CDF (continuous bounded
+/// Pareto, rounded).
+///
+/// The population-invariant terms of the inverse CDF are computed once
+/// here, so [`BoundedPareto::size_at`] costs one `powf` (or one `exp`
+/// on the log-uniform `alpha ≈ 1` branch). It evaluates the same
+/// operations in the same order as the per-call formula, so every size
+/// is bitwise what that formula gives.
+#[derive(Debug, Clone)]
+struct BoundedPareto {
+    min_size: usize,
+    max_size: usize,
+    inverse: InverseCdf,
+}
+
+#[derive(Debug, Clone)]
+enum InverseCdf {
+    /// `alpha ≈ 1`: `exp(ln lo + u · (ln hi − ln lo))`.
+    LogUniform { ln_lo: f64, ln_span: f64 },
+    /// `(lo^a + u · (hi^a − lo^a))^{1/a}` with `a = 1 − alpha`.
+    Power { lo_a: f64, span_a: f64, inv_a: f64 },
+}
+
+impl BoundedPareto {
+    /// The law over `[min_size, max_size]` with exponent `alpha`.
+    fn new(min_size: usize, max_size: usize, alpha: f64) -> Self {
+        let a = 1.0 - alpha;
+        let (lo, hi) = (min_size as f64, max_size as f64);
+        let inverse = if a.abs() < 1e-9 {
+            InverseCdf::LogUniform { ln_lo: lo.ln(), ln_span: hi.ln() - lo.ln() }
+        } else {
+            InverseCdf::Power { lo_a: lo.powf(a), span_a: hi.powf(a) - lo.powf(a), inv_a: 1.0 / a }
+        };
+        BoundedPareto { min_size, max_size, inverse }
+    }
+
+    /// The size at quantile `u ∈ [0, 1)`.
+    fn size_at(&self, u: f64) -> usize {
+        let s = match self.inverse {
+            InverseCdf::LogUniform { ln_lo, ln_span } => (ln_lo + u * ln_span).exp(),
+            InverseCdf::Power { lo_a, span_a, inv_a } => (lo_a + u * span_a).powf(inv_a),
+        };
+        (s.round() as usize).clamp(self.min_size, self.max_size)
+    }
 }
 
 /// A lazily-indexable power-law (Zipf-like) device population: per-device
@@ -58,9 +86,7 @@ fn bounded_pareto(u: f64, min_size: usize, max_size: usize, alpha: f64) -> usize
 #[derive(Debug, Clone)]
 pub struct ZipfPopulation {
     devices: usize,
-    min_size: usize,
-    max_size: usize,
-    alpha: f64,
+    sizes: BoundedPareto,
     compute_spread: f64,
     seed: u64,
     total: u64,
@@ -84,9 +110,7 @@ impl ZipfPopulation {
         assert!(compute_spread >= 1.0, "ZipfPopulation: compute_spread must be >= 1");
         let mut pop = ZipfPopulation {
             devices,
-            min_size,
-            max_size,
-            alpha,
+            sizes: BoundedPareto::new(min_size, max_size, alpha),
             compute_spread,
             seed,
             total: 0,
@@ -112,8 +136,7 @@ impl ZipfPopulation {
     /// Device `d`'s sample count `D_d` — O(1), stable across runs.
     pub fn size_of(&self, device: usize) -> usize {
         assert!(device < self.devices, "ZipfPopulation: device out of range");
-        let u: f64 = self.stream(device).gen_range(0.0..1.0);
-        bounded_pareto(u, self.min_size, self.max_size, self.alpha)
+        self.sizes.size_at(self.stream(device).gen_range(0.0..1.0))
     }
 
     /// Device `d`'s compute-speed multiplier, log-uniform in

@@ -16,6 +16,7 @@
 //! σ̄²-divergence (measured empirically in [`crate::stats`]).
 
 use crate::dataset::Dataset;
+use fedprox_tensor::kernel::matvec_into;
 use fedprox_tensor::{activations::softmax_inplace, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,11 +67,12 @@ pub fn generate(cfg: &SyntheticConfig, sizes: &[usize]) -> Vec<Dataset> {
 /// Lazy per-device synthesis of the same federation [`generate`] builds
 /// eagerly.
 ///
-/// Holds the cross-device state (the Σ diagonal and, in the i.i.d.
-/// control case, the single shared model drawn from stream `u64::MAX`)
-/// so a shard can be synthesized for one device at a time and dropped
-/// after use. Device `n` consumes only its own `device_rng(seed, n)`
-/// stream, so [`SyntheticPool::device_shard`] is bitwise identical to
+/// Holds the cross-device state (the Σ diagonal, the `N(0, 1)`,
+/// `N(0, α)` and `N(0, β)` distributions and, in the i.i.d. control
+/// case, the single shared model drawn from stream `u64::MAX`) so a
+/// shard can be synthesized for one device at a time and dropped after
+/// use. Device `n` consumes only its own `device_rng(seed, n)` stream,
+/// so [`SyntheticPool::device_shard`] is bitwise identical to
 /// `generate(cfg, sizes)[n]` regardless of which other devices are ever
 /// materialized — the property the million-device event-driven backend
 /// relies on to keep memory bounded by the sampled set.
@@ -78,7 +80,13 @@ pub fn generate(cfg: &SyntheticConfig, sizes: &[usize]) -> Vec<Dataset> {
 pub struct SyntheticPool {
     cfg: SyntheticConfig,
     diag_std: Vec<f64>,
-    shared: Option<ModelDraw>,
+    unit: Normal,
+    /// `N(0, α)` for the model offset `u_n` (see [`offset`]).
+    model_offset: Normal,
+    /// `N(0, β)` for the feature offset `B_n` (see [`offset`]).
+    feature_offset: Normal,
+    /// The i.i.d. control case's shared model (boxed: most pools have none).
+    shared: Option<Box<ModelDraw>>,
 }
 
 impl SyntheticPool {
@@ -86,15 +94,21 @@ impl SyntheticPool {
     pub fn new(cfg: SyntheticConfig) -> Self {
         let diag_std: Vec<f64> =
             (1..=cfg.dim).map(|j| (j as f64).powf(-1.2).sqrt()).collect();
+        let unit = Normal::new(0.0, 1.0).expect("unit normal");
+        let spread = |var: f64| {
+            let std_dev = if var > 0.0 { var.sqrt() } else { 0.0 };
+            Normal::new(0.0, std_dev).expect("finite heterogeneity variance")
+        };
+        let (model_offset, feature_offset) = (spread(cfg.alpha), spread(cfg.beta));
         // In the i.i.d. control case all devices share the model drawn
         // from stream u64::MAX (never a device id).
         let shared = if cfg.iid {
             let mut rng = device_rng(cfg.seed, u64::MAX);
-            Some(draw_model(&mut rng, 0.0, &cfg))
+            Some(Box::new(draw_model(&mut rng, &unit, 0.0, &cfg)))
         } else {
             None
         };
-        SyntheticPool { cfg, diag_std, shared }
+        SyntheticPool { cfg, diag_std, unit, model_offset, feature_offset, shared }
     }
 
     /// The generator configuration.
@@ -105,25 +119,19 @@ impl SyntheticPool {
     /// Synthesize device `n`'s shard with `size` samples.
     pub fn device_shard(&self, n: usize, size: usize) -> Dataset {
         let cfg = &self.cfg;
-        let unit = Normal::new(0.0, 1.0).expect("unit normal");
+        let unit = &self.unit;
         let mut rng = device_rng(cfg.seed, n as u64);
-        let (w, b, v) = if let Some((ref sw, ref sb, ref sv)) = self.shared {
-            (sw.clone(), sb.clone(), sv.clone())
-        } else {
-            let u_n: f64 = if cfg.alpha > 0.0 {
-                Normal::new(0.0, cfg.alpha.sqrt()).unwrap().sample(&mut rng)
-            } else {
-                0.0
-            };
-            let (w, b, _) = draw_model(&mut rng, u_n, cfg);
-            let big_b: f64 = if cfg.beta > 0.0 {
-                Normal::new(0.0, cfg.beta.sqrt()).unwrap().sample(&mut rng)
-            } else {
-                0.0
-            };
-            let v: Vec<f64> =
-                (0..cfg.dim).map(|_| big_b + unit.sample(&mut rng)).collect();
-            (w, b, v)
+        let drawn;
+        let (w, b, v) = match self.shared.as_deref() {
+            Some((sw, sb, sv)) => (sw, sb, sv),
+            None => {
+                let u_n = offset(&self.model_offset, &mut rng);
+                let (w, b, _) = draw_model(&mut rng, unit, u_n, cfg);
+                let big_b = offset(&self.feature_offset, &mut rng);
+                let v: Vec<f64> = (0..cfg.dim).map(|_| big_b + unit.sample(&mut rng)).collect();
+                drawn = (w, b, v);
+                (&drawn.0, &drawn.1, &drawn.2)
+            }
         };
 
         let mut feats = Matrix::zeros(size, cfg.dim);
@@ -134,8 +142,8 @@ impl SyntheticPool {
             for j in 0..cfg.dim {
                 row[j] = v[j] + self.diag_std[j] * unit.sample(&mut rng);
             }
-            logits.copy_from_slice(&w.matvec(row));
-            for (l, bi) in logits.iter_mut().zip(&b) {
+            matvec_into(w.as_slice(), cfg.num_classes, cfg.dim, row, &mut logits);
+            for (l, bi) in logits.iter_mut().zip(b) {
                 *l += bi;
             }
             softmax_inplace(&mut logits);
@@ -148,8 +156,20 @@ impl SyntheticPool {
 
 type ModelDraw = (Matrix, Vec<f64>, Vec<f64>);
 
-fn draw_model(rng: &mut impl Rng, u_n: f64, cfg: &SyntheticConfig) -> ModelDraw {
-    let unit = Normal::new(0.0, 1.0).expect("unit normal");
+/// One heterogeneity offset. A zero variance (α or β = 0) draws
+/// nothing and yields 0, so it consumes none of the device's stream.
+fn offset(spread: &Normal, rng: &mut impl Rng) -> f64 {
+    if spread.std_dev() > 0.0 {
+        spread.sample(rng)
+    } else {
+        0.0
+    }
+}
+
+/// Draw `(W, b, v)` around offset `u_n`. The non-i.i.d. path discards
+/// `v` (it draws its own around `B_n`) but the draw stays, so every
+/// later sample keeps its place in the device's stream.
+fn draw_model(rng: &mut impl Rng, unit: &Normal, u_n: f64, cfg: &SyntheticConfig) -> ModelDraw {
     let mut w = Matrix::zeros(cfg.num_classes, cfg.dim);
     for v in w.as_mut_slice() {
         *v = u_n + unit.sample(rng);

@@ -6,7 +6,7 @@
 //! would triple it and distort the communication-cost model.
 
 use crate::message::Message;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use std::fmt;
 
 const TAG_GLOBAL: u8 = 1;
@@ -15,6 +15,9 @@ const TAG_SHUTDOWN: u8 = 3;
 const TAG_PANIC: u8 = 4;
 const TAG_MALFORMED: u8 = 5;
 const TAG_FAILED: u8 = 6;
+
+/// Tag, round and parameter count of a `GlobalModel` frame.
+const GLOBAL_HEADER: usize = 1 + 4 + 8;
 
 /// Decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,37 +39,50 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-fn put_params(buf: &mut BytesMut, params: &[f64]) {
+/// Append a length-prefixed parameter array: the `u64` count, then the
+/// values as one bulk little-endian pass over capacity the caller
+/// reserved.
+fn put_params(buf: &mut Vec<u8>, params: &[f64]) {
     buf.put_u64_le(params.len() as u64);
-    for &p in params {
-        buf.put_f64_le(p);
+    let start = buf.len();
+    buf.resize(start + 8 * params.len(), 0);
+    let (_, dst) = buf.split_at_mut(start);
+    for (le, p) in dst.chunks_exact_mut(8).zip(params) {
+        le.copy_from_slice(&p.to_le_bytes());
     }
 }
 
+/// Read a length-prefixed parameter array in one bulk pass. The count
+/// comes off the wire, so its byte length is overflow-checked before it
+/// sizes anything: a prefix no buffer could back is [`CodecError::Truncated`].
 fn get_params(buf: &mut &[u8]) -> Result<Vec<f64>, CodecError> {
     if buf.remaining() < 8 {
         return Err(CodecError::Truncated);
     }
-    let n = buf.get_u64_le() as usize;
-    if buf.remaining() < n * 8 {
-        return Err(CodecError::Truncated);
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(buf.get_f64_le());
-    }
+    let n = buf.get_u64_le();
+    let len = usize::try_from(n)
+        .ok()
+        .and_then(|n| n.checked_mul(8))
+        .ok_or(CodecError::Truncated)?;
+    let bytes = buf.get(..len).ok_or(CodecError::Truncated)?;
+    let out = bytes
+        .chunks_exact(8)
+        .map(|c| {
+            let mut le = [0u8; 8];
+            le.copy_from_slice(c);
+            f64::from_le_bytes(le)
+        })
+        .collect();
+    buf.advance(len);
     Ok(out)
 }
 
-/// Encode a message to its wire form.
+/// Encode a message to its wire form, into a buffer reserved at
+/// [`encoded_len`] up front.
 pub fn encode(msg: &Message) -> Bytes {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::with_capacity(encoded_len(msg));
     match msg {
-        Message::GlobalModel { round, params } => {
-            buf.put_u8(TAG_GLOBAL);
-            buf.put_u32_le(*round);
-            put_params(&mut buf, params);
-        }
+        Message::GlobalModel { round, params } => put_global(&mut buf, *round, params),
         Message::LocalModel { device, round, params, weight, grad_evals, compute_time } => {
             buf.put_u8(TAG_LOCAL);
             buf.put_u32_le(*device);
@@ -96,7 +112,22 @@ pub fn encode(msg: &Message) -> Bytes {
             buf.put_u8(TAG_SHUTDOWN);
         }
     }
-    buf.freeze()
+    Bytes::from(buf)
+}
+
+/// Encode a [`Message::GlobalModel`] broadcast straight from the model
+/// slice: the bytes of `encode(&Message::GlobalModel { round, params })`
+/// without first cloning the model into a message.
+pub fn encode_global(round: u32, params: &[f64]) -> Bytes {
+    let mut buf = Vec::with_capacity(GLOBAL_HEADER + 8 * params.len());
+    put_global(&mut buf, round, params);
+    Bytes::from(buf)
+}
+
+fn put_global(buf: &mut Vec<u8>, round: u32, params: &[f64]) {
+    buf.put_u8(TAG_GLOBAL);
+    buf.put_u32_le(round);
+    put_params(buf, params);
 }
 
 /// Decode a wire buffer back into a [`Message`].
@@ -166,7 +197,7 @@ pub fn decode(mut buf: &[u8]) -> Result<Message, CodecError> {
 /// Size in bytes of the encoded form without materialising it.
 pub fn encoded_len(msg: &Message) -> usize {
     match msg {
-        Message::GlobalModel { params, .. } => 1 + 4 + 8 + 8 * params.len(),
+        Message::GlobalModel { params, .. } => GLOBAL_HEADER + 8 * params.len(),
         Message::LocalModel { params, .. } => 1 + 4 + 4 + 8 + 8 + 8 + 8 + 8 * params.len(),
         Message::Panicked { .. } => 1 + 4 + 4,
         Message::Failed { reason, .. } => 1 + 4 + 4 + 8 + reason.len(),
@@ -253,6 +284,27 @@ mod tests {
         for cut in [0, 1, 4, 12, b.len() - 1] {
             assert!(decode(&b[..cut]).is_err(), "cut at {cut} should fail");
         }
+    }
+
+    /// A `GlobalModel` frame whose parameter count is 2⁶¹: its byte
+    /// length overflows `usize`, which must be a typed error, not a
+    /// multiply overflow or a capacity panic.
+    #[test]
+    fn overflowing_param_count_is_truncated() {
+        let mut frame = vec![TAG_GLOBAL];
+        frame.extend_from_slice(&7u32.to_le_bytes());
+        frame.extend_from_slice(&(1u64 << 61).to_le_bytes());
+        frame.extend_from_slice(&1.0f64.to_le_bytes());
+        assert_eq!(decode(&frame), Err(CodecError::Truncated));
+        frame[5..13].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(decode(&frame), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn encode_global_matches_the_message_encoding() {
+        let params = vec![1.5, -0.0, f64::NAN];
+        let msg = Message::GlobalModel { round: 9, params: params.clone() };
+        assert_eq!(encode_global(9, &params), encode(&msg));
     }
 
     #[test]

@@ -94,6 +94,11 @@ pub enum NetError {
         /// The reporting device id.
         device: u32,
     },
+    /// A reply named a device id at or past the number of device actors.
+    UnknownDevice {
+        /// The id the reply carried.
+        device: u32,
+    },
 }
 
 impl fmt::Display for NetError {
@@ -122,6 +127,9 @@ impl fmt::Display for NetError {
             NetError::MalformedFrame { device } => {
                 write!(f, "net: device {device} received an undecodable frame")
             }
+            NetError::UnknownDevice { device } => {
+                write!(f, "net: reply from unknown device {device}")
+            }
         }
     }
 }
@@ -132,6 +140,13 @@ impl From<CodecError> for NetError {
     fn from(e: CodecError) -> Self {
         NetError::Codec(e)
     }
+}
+
+/// Device `device`'s entry of per-device round state. The id was read
+/// off the wire, so it is bounds-checked before it indexes anything:
+/// an id at or past the actor count is [`NetError::UnknownDevice`].
+fn wire_slot<T>(per_device: &mut [T], device: u32) -> Result<&mut T, NetError> {
+    per_device.get_mut(device as usize).ok_or(NetError::UnknownDevice { device })
 }
 
 /// What a device hands back after its local update.
@@ -462,7 +477,7 @@ impl NetworkRuntime {
                     let traffic_before = (clock.bytes_down(), clock.bytes_up());
                     let broadcast = {
                         fedprox_telemetry::span!("net", "encode", "round" => round);
-                        codec::encode(&Message::GlobalModel { round, params: global.clone() })
+                        codec::encode_global(round, &global)
                     };
                     let down_len = broadcast.len();
 
@@ -585,8 +600,9 @@ impl NetworkRuntime {
                                 if let Some(resil) = resil {
                                     compute *= resil.plan.slow_factor(d, s);
                                 }
-                                let dev_rng =
-                                    streams[d].as_mut().ok_or(NetError::UnexpectedMessage)?;
+                                let dev_rng = wire_slot(&mut streams, device)?
+                                    .as_mut()
+                                    .ok_or(NetError::UnexpectedMessage)?;
                                 let transfer = simulate_transfer(
                                     &opts.uplink,
                                     up_len,
@@ -602,18 +618,19 @@ impl NetworkRuntime {
                                         retransmissions += retries;
                                         clock.record_traffic(0, (retries + 1) * up_len as u64);
                                         let timing = DeviceRoundTiming {
-                                            download: downloads[d],
+                                            download: *wire_slot(&mut downloads, device)?,
                                             compute,
                                             upload: delay,
                                         };
                                         let missed = resil
                                             .and_then(|r| r.deadline_s)
                                             .is_some_and(|deadline| timing.total() > deadline);
-                                        timings[d] = timing;
+                                        *wire_slot(&mut timings, device)? = timing;
                                         if missed {
-                                            outcomes[d] = DeviceOutcome::DeadlineMiss;
+                                            *wire_slot(&mut outcomes, device)? =
+                                                DeviceOutcome::DeadlineMiss;
                                         } else {
-                                            slots[d] = Some((params, weight));
+                                            *wire_slot(&mut slots, device)? = Some((params, weight));
                                         }
                                     }
                                     Transfer::Exhausted { wasted, retries } => {
@@ -622,8 +639,10 @@ impl NetworkRuntime {
                                         }
                                         retransmissions += retries;
                                         clock.record_traffic(0, (retries + 1) * up_len as u64);
-                                        outcomes[d] = DeviceOutcome::LinkFailed;
-                                        failed_elapsed[d] = downloads[d] + compute + wasted;
+                                        *wire_slot(&mut outcomes, device)? = DeviceOutcome::LinkFailed;
+                                        let download = *wire_slot(&mut downloads, device)?;
+                                        *wire_slot(&mut failed_elapsed, device)? =
+                                            download + compute + wasted;
                                     }
                                 }
                             }
@@ -632,9 +651,8 @@ impl NetworkRuntime {
                                 if !tolerate {
                                     return Err(NetError::WorkerPanic { device: Some(device) });
                                 }
-                                let d = device as usize;
-                                dead[d] = true;
-                                outcomes[d] = DeviceOutcome::Crashed;
+                                *wire_slot(&mut dead, device)? = true;
+                                *wire_slot(&mut outcomes, device)? = DeviceOutcome::Crashed;
                             }
                             Message::Failed { device, reason, .. } => {
                                 // A typed worker failure follows the panic
@@ -644,9 +662,8 @@ impl NetworkRuntime {
                                 if !tolerate {
                                     return Err(NetError::WorkerFailed { device, reason });
                                 }
-                                let d = device as usize;
-                                dead[d] = true;
-                                outcomes[d] = DeviceOutcome::Crashed;
+                                *wire_slot(&mut dead, device)? = true;
+                                *wire_slot(&mut outcomes, device)? = DeviceOutcome::Crashed;
                             }
                             Message::Malformed { device } => {
                                 // A codec bug is a protocol failure in
@@ -1067,6 +1084,20 @@ mod tests {
             .run(workers, vec![1.0], 3, &NetOptions::default(), |_, _| true)
             .expect_err("no devices, no run");
         assert_eq!(err, NetError::NoDevices);
+    }
+
+    #[test]
+    fn wire_device_ids_past_the_actor_count_are_typed_errors() {
+        let mut per_device = vec![0.0f64; 3];
+        *wire_slot(&mut per_device, 2).expect("in range") = 1.5;
+        assert_eq!(per_device, [0.0, 0.0, 1.5]);
+        for device in [3, u32::MAX] {
+            assert_eq!(wire_slot(&mut per_device, device), Err(NetError::UnknownDevice { device }));
+        }
+        assert_eq!(
+            NetError::UnknownDevice { device: 9 }.to_string(),
+            "net: reply from unknown device 9"
+        );
     }
 
     #[test]

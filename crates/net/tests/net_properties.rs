@@ -107,3 +107,57 @@ proptest! {
         prop_assert!((clock.now() - want).abs() < 1e-6 * want.max(1.0));
     }
 }
+
+/// One frame of every [`Message`] variant, params carrying NaN, −0.0
+/// and a subnormal.
+fn every_variant() -> Vec<Message> {
+    let params = vec![f64::NAN, -0.0, f64::from_bits(1), 2.5];
+    vec![
+        Message::GlobalModel { round: 3, params: params.clone() },
+        Message::GlobalModel { round: 0, params: vec![] },
+        Message::LocalModel {
+            device: 1,
+            round: 3,
+            params,
+            weight: 0.25,
+            grad_evals: 40,
+            compute_time: 0.5,
+        },
+        Message::Panicked { device: 2, round: 4 },
+        Message::Failed { device: 5, round: 6, reason: "boom ü".into() },
+        Message::Malformed { device: 7 },
+        Message::Shutdown,
+    ]
+}
+
+/// Every truncation of every encoded variant is a typed error, never a
+/// panic: each frame's fields are fixed-width or length-prefixed, so no
+/// strict prefix is a complete frame.
+#[test]
+fn every_truncation_of_every_variant_is_an_error() {
+    for msg in every_variant() {
+        let frame = encode(&msg);
+        for cut in 0..frame.len() {
+            assert!(decode(&frame[..cut]).is_err(), "{msg:?} cut at {cut}");
+        }
+    }
+}
+
+/// Every single-byte corruption (each position, all 256 values) of every
+/// encoded variant decodes to `Ok` or `Err` and never panics — including
+/// a parameter-count prefix whose byte length overflows `usize`.
+#[test]
+fn every_single_byte_corruption_of_every_variant_is_ok_or_err() {
+    for msg in every_variant() {
+        let frame = encode(&msg).to_vec();
+        for pos in 0..frame.len() {
+            for value in 0..=u8::MAX {
+                let mut bad = frame.clone();
+                if let Some(b) = bad.get_mut(pos) {
+                    *b = value;
+                }
+                let _ = decode(&bad);
+            }
+        }
+    }
+}
