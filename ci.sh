@@ -66,16 +66,21 @@ cargo build -q --release -p fedprox-perfbench
 # kernel-diff: bitwise + speed gate over the tiled kernel rewrite. The
 # cpu_reference differential suite proves tiled == naive bitwise; the
 # root determinism suite extends that to
-# full networked runs. The fedperf baseline gate then catches kernel
-# *speed* regressions against the committed BENCH_seed.json (recorded
-# from the tiled kernels). The default ratio is deliberately loose
+# full networked runs, and the solve_pins suite holds whole-run digests
+# (networked, event-driven, parallel, every algorithm, MLP and CNN)
+# recorded before the row-interleaved matvec and the reused solve
+# scratch. All three run in --release: the shipped target-cpu=native
+# release codegen is what must stay bitwise. The fedperf baseline gate
+# then catches kernel *speed* regressions against the committed
+# BENCH_seed.json (recorded from the tiled kernels). The default ratio is deliberately loose
 # (3.0, override with FEDPERF_GATE_RATIO): back-to-back identical runs
 # on shared hosts swing 2-3x, so a tight gate would be flakier than it
 # is protective — tight gating (e.g. 1.25) stays a manual/local
 # workflow on a quiet machine.
-echo "==> kernel-diff (cpu_reference suite + fedperf --baseline --gate)"
+echo "==> kernel-diff (cpu_reference + determinism + solve_pins in --release, fedperf --baseline --gate)"
 cargo test -q --release -p fedprox-tensor --test cpu_reference
 cargo test -q --release -p fedprox --test determinism
+cargo test -q --release -p fedprox --test solve_pins
 ./target/release/fedperf --baseline BENCH_seed.json --gate "${FEDPERF_GATE_RATIO:-3.0}"
 
 # specs-golden: the committed specs must regenerate, byte for byte,

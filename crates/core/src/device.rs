@@ -7,8 +7,32 @@ use crate::error::FedError;
 use fedprox_data::synthetic::device_rng;
 use fedprox_data::Dataset;
 use fedprox_models::LossModel;
-use fedprox_optim::solver::{IterateChoice, LocalOutcome, LocalSolver, LocalSolverConfig};
+use fedprox_optim::solver::{
+    IterateChoice, LocalOutcome, LocalSolver, LocalSolverConfig, SolveScratch,
+};
 use fedprox_optim::{EstimatorKind, QuadraticProx, SparseQuadraticProx, StepSize, ZeroProx};
+use std::cell::RefCell;
+
+thread_local! {
+    /// The solve buffers of every device update run on this thread:
+    /// the estimator with its model gradient workspace, the mini-batch
+    /// indices and the iterate vectors. Fan-out workers, network actors
+    /// and plain callers all solve through it, so a thread's updates
+    /// allocate these once, not once per solve. Reuse is bitwise
+    /// invisible (see [`LocalSolver::solve_with`]); a scratch sized for
+    /// another model is rebuilt on first use.
+    static SOLVE_SCRATCH: RefCell<SolveScratch> = const { RefCell::new(SolveScratch::new()) };
+}
+
+/// Run `f` on this thread's [`SOLVE_SCRATCH`]. A nested call (the
+/// scratch already borrowed further up this thread's stack) solves
+/// through fresh buffers instead.
+fn with_solve_scratch<T>(f: impl FnOnce(&mut SolveScratch) -> T) -> T {
+    SOLVE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut SolveScratch::new()),
+    })
+}
 
 /// One device of the federation.
 #[derive(Debug, Clone)]
@@ -80,71 +104,61 @@ impl Device {
         let step = cfg
             .step_override
             .unwrap_or_else(|| StepSize::paper(cfg.beta, cfg.smoothness));
-        let outcome: LocalOutcome = match cfg.algorithm {
-            Algorithm::FedAvg => {
-                // FedAvg: τ plain SGD steps from the global model, last
-                // iterate, no proximal term, no anchor full gradient.
-                let scfg = LocalSolverConfig {
-                    kind: EstimatorKind::Sgd,
-                    step,
-                    tau: cfg.tau,
-                    batch_size: cfg.batch_size,
-                    choice: IterateChoice::Last,
-                };
-                solver.solve(model, &self.data, &ZeroProx, global, &scfg, &mut rng)
-            }
-            Algorithm::FedProx => {
-                // FedProx: proximal surrogate + plain SGD, last iterate.
-                let prox = QuadraticProx::new(cfg.mu, global.to_vec());
-                let scfg = LocalSolverConfig {
-                    kind: EstimatorKind::Sgd,
-                    step,
-                    tau: cfg.tau,
-                    batch_size: cfg.batch_size,
-                    choice: IterateChoice::Last,
-                };
-                solver.solve(model, &self.data, &prox, global, &scfg, &mut rng)
-            }
-            Algorithm::Fsvrg => {
-                // FSVRG: SVRG anchored at the *global* gradient the server
-                // distributed; no proximal term; last iterate. A caller
-                // that skipped the distribution step gets a typed error
-                // rather than a panic reachable from the public API.
-                let ag = global_grad.ok_or(FedError::MissingGlobalGradient { round })?;
-                let scfg = LocalSolverConfig {
-                    kind: EstimatorKind::Svrg,
-                    step,
-                    tau: cfg.tau,
-                    batch_size: cfg.batch_size,
-                    choice: IterateChoice::Last,
-                };
-                solver.solve_anchored(
-                    model,
-                    &self.data,
-                    &ZeroProx,
-                    global,
-                    &scfg,
-                    &mut rng,
-                    Some(ag),
-                )
-            }
-            Algorithm::FedProxVr(kind) => {
-                let scfg = LocalSolverConfig {
-                    kind,
-                    step,
-                    tau: cfg.tau,
-                    batch_size: cfg.batch_size,
-                    choice: cfg.iterate_choice,
-                };
-                if cfg.l1 > 0.0 {
-                    let prox = SparseQuadraticProx::new(cfg.mu, cfg.l1, global.to_vec());
-                    solver.solve(model, &self.data, &prox, global, &scfg, &mut rng)
-                } else {
-                    let prox = QuadraticProx::new(cfg.mu, global.to_vec());
-                    solver.solve(model, &self.data, &prox, global, &scfg, &mut rng)
-                }
-            }
+        let scfg = |kind: EstimatorKind, choice: IterateChoice| LocalSolverConfig {
+            kind,
+            step,
+            tau: cfg.tau,
+            batch_size: cfg.batch_size,
+            choice,
         };
+        let data = &self.data;
+        // The proximal anchors borrow `global`: it is the anchor
+        // w̄^{(s−1)} itself, so no solve copies it.
+        let outcome: LocalOutcome = with_solve_scratch(|scratch| -> Result<_, FedError> {
+            Ok(match cfg.algorithm {
+                Algorithm::FedAvg => {
+                    // FedAvg: τ plain SGD steps from the global model, last
+                    // iterate, no proximal term, no anchor full gradient.
+                    let scfg = scfg(EstimatorKind::Sgd, IterateChoice::Last);
+                    solver.solve_with(model, data, &ZeroProx, global, &scfg, &mut rng, scratch)
+                }
+                Algorithm::FedProx => {
+                    // FedProx: proximal surrogate + plain SGD, last iterate.
+                    let prox = QuadraticProx::new(cfg.mu, global);
+                    let scfg = scfg(EstimatorKind::Sgd, IterateChoice::Last);
+                    solver.solve_with(model, data, &prox, global, &scfg, &mut rng, scratch)
+                }
+                Algorithm::Fsvrg => {
+                    // FSVRG: SVRG anchored at the *global* gradient the
+                    // server distributed; no proximal term; last iterate.
+                    // A caller that skipped the distribution step gets a
+                    // typed error rather than a panic reachable from the
+                    // public API.
+                    let ag = global_grad.ok_or(FedError::MissingGlobalGradient { round })?;
+                    let scfg = scfg(EstimatorKind::Svrg, IterateChoice::Last);
+                    solver.solve_anchored_with(
+                        model,
+                        data,
+                        &ZeroProx,
+                        global,
+                        &scfg,
+                        &mut rng,
+                        Some(ag),
+                        scratch,
+                    )
+                }
+                Algorithm::FedProxVr(kind) => {
+                    let scfg = scfg(kind, cfg.iterate_choice);
+                    if cfg.l1 > 0.0 {
+                        let prox = SparseQuadraticProx::new(cfg.mu, cfg.l1, global);
+                        solver.solve_with(model, data, &prox, global, &scfg, &mut rng, scratch)
+                    } else {
+                        let prox = QuadraticProx::new(cfg.mu, global);
+                        solver.solve_with(model, data, &prox, global, &scfg, &mut rng, scratch)
+                    }
+                }
+            })
+        })?;
         Ok(LocalUpdate { w: outcome.w, grad_evals: outcome.grad_evals, dir_stats: outcome.dir_stats })
     }
 
@@ -159,7 +173,7 @@ impl Device {
         mu: f64,
     ) -> f64 {
         let solver = LocalSolver;
-        let prox = QuadraticProx::new(mu, global.to_vec());
+        let prox = QuadraticProx::new(mu, global);
         let j_norm = solver.surrogate_grad_norm(model, &self.data, &prox, local);
         let mut g = vec![0.0; model.dim()];
         model.full_grad(global, &self.data, &mut g);

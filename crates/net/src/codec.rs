@@ -52,10 +52,11 @@ fn put_params(buf: &mut Vec<u8>, params: &[f64]) {
     }
 }
 
-/// Read a length-prefixed parameter array in one bulk pass. The count
-/// comes off the wire, so its byte length is overflow-checked before it
-/// sizes anything: a prefix no buffer could back is [`CodecError::Truncated`].
-fn get_params(buf: &mut &[u8]) -> Result<Vec<f64>, CodecError> {
+/// Read a length-prefixed parameter array in one bulk pass into `out`,
+/// replacing its contents and reusing its capacity. The count comes off
+/// the wire, so its byte length is overflow-checked before it sizes
+/// anything: a prefix no buffer could back is [`CodecError::Truncated`].
+fn get_params(buf: &mut &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
     if buf.remaining() < 8 {
         return Err(CodecError::Truncated);
     }
@@ -65,16 +66,14 @@ fn get_params(buf: &mut &[u8]) -> Result<Vec<f64>, CodecError> {
         .and_then(|n| n.checked_mul(8))
         .ok_or(CodecError::Truncated)?;
     let bytes = buf.get(..len).ok_or(CodecError::Truncated)?;
-    let out = bytes
-        .chunks_exact(8)
-        .map(|c| {
-            let mut le = [0u8; 8];
-            le.copy_from_slice(c);
-            f64::from_le_bytes(le)
-        })
-        .collect();
+    out.clear();
+    out.extend(bytes.chunks_exact(8).map(|c| {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(c);
+        f64::from_le_bytes(le)
+    }));
     buf.advance(len);
-    Ok(out)
+    Ok(())
 }
 
 /// Encode a message to its wire form, into a buffer reserved at
@@ -131,7 +130,23 @@ fn put_global(buf: &mut Vec<u8>, round: u32, params: &[f64]) {
 }
 
 /// Decode a wire buffer back into a [`Message`].
-pub fn decode(mut buf: &[u8]) -> Result<Message, CodecError> {
+pub fn decode(buf: &[u8]) -> Result<Message, CodecError> {
+    let mut params = Vec::new();
+    let mut msg = decode_into(buf, &mut params)?;
+    if let Message::GlobalModel { params: p, .. } | Message::LocalModel { params: p, .. } = &mut msg
+    {
+        *p = params;
+    }
+    Ok(msg)
+}
+
+/// [`decode`] into a caller-held parameter buffer: a `GlobalModel` or
+/// `LocalModel` frame's parameters replace the contents of `params`,
+/// reusing its capacity, and the returned message's own `params` is
+/// left empty (an unallocated `Vec`). Every other variant leaves
+/// `params` untouched. A receiver that decodes into the same buffer
+/// every round allocates nothing for the model once it is warm.
+pub fn decode_into(mut buf: &[u8], params: &mut Vec<f64>) -> Result<Message, CodecError> {
     if buf.remaining() < 1 {
         return Err(CodecError::Truncated);
     }
@@ -142,8 +157,8 @@ pub fn decode(mut buf: &[u8]) -> Result<Message, CodecError> {
                 return Err(CodecError::Truncated);
             }
             let round = buf.get_u32_le();
-            let params = get_params(&mut buf)?;
-            Ok(Message::GlobalModel { round, params })
+            get_params(&mut buf, params)?;
+            Ok(Message::GlobalModel { round, params: Vec::new() })
         }
         TAG_LOCAL => {
             if buf.remaining() < 4 + 4 + 8 + 8 + 8 {
@@ -154,8 +169,15 @@ pub fn decode(mut buf: &[u8]) -> Result<Message, CodecError> {
             let weight = buf.get_f64_le();
             let grad_evals = buf.get_u64_le();
             let compute_time = buf.get_f64_le();
-            let params = get_params(&mut buf)?;
-            Ok(Message::LocalModel { device, round, params, weight, grad_evals, compute_time })
+            get_params(&mut buf, params)?;
+            Ok(Message::LocalModel {
+                device,
+                round,
+                params: Vec::new(),
+                weight,
+                grad_evals,
+                compute_time,
+            })
         }
         TAG_PANIC => {
             if buf.remaining() < 4 + 4 {
@@ -298,6 +320,35 @@ mod tests {
         assert_eq!(decode(&frame), Err(CodecError::Truncated));
         frame[5..13].copy_from_slice(&u64::MAX.to_le_bytes());
         assert_eq!(decode(&frame), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn decode_into_reuses_the_buffer_and_matches_decode() {
+        let local = Message::LocalModel {
+            device: 3,
+            round: 4,
+            params: vec![0.5, -0.0, 1e-310],
+            weight: 0.25,
+            grad_evals: 9,
+            compute_time: 0.5,
+        };
+        let frames =
+            [encode_global(7, &[1.0, 2.0, 3.0]), encode(&local), encode(&Message::Shutdown)];
+        let mut buf = Vec::with_capacity(3);
+        let ptr = buf.as_ptr();
+        for frame in &frames {
+            let before = buf.clone();
+            let mut msg = decode_into(frame, &mut buf).expect("decode_into");
+            match &mut msg {
+                Message::GlobalModel { params, .. } | Message::LocalModel { params, .. } => {
+                    assert!(params.is_empty() && params.capacity() == 0);
+                    *params = buf.clone();
+                }
+                _ => assert_eq!(buf, before, "a model-free frame leaves the buffer alone"),
+            }
+            assert_eq!(msg, decode(frame).expect("decode"));
+            assert_eq!(buf.as_ptr(), ptr, "decoded into the caller's allocation");
+        }
     }
 
     #[test]

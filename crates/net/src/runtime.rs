@@ -388,6 +388,14 @@ impl NetworkRuntime {
         // Devices gone for good: planned crashes once their round
         // arrives, plus panicked workers under a crash-tolerant policy.
         let mut dead = vec![false; n];
+        // Reply decoding reuses buffers across rounds: a reply decodes
+        // into `recv_buf`, and an accepted one swaps it into its
+        // device's slot, whose previous buffer takes its place. After
+        // the first rounds no reply allocates for its model, and the
+        // aggregate swaps with `global` instead of being allocated.
+        let mut slot_params: Vec<Vec<f64>> = vec![Vec::new(); n];
+        let mut recv_buf: Vec<f64> = Vec::new();
+        let mut agg: Vec<f64> = Vec::with_capacity(dim);
 
         let scope_outcome = crossbeam::scope(|scope| -> Result<(), NetError> {
             // Device actors.
@@ -397,13 +405,16 @@ impl NetworkRuntime {
                 let reply_tx = reply_tx.clone();
                 // fedlint: allow(spawn-ordering) — reply arrival order is immaterial: the server collects into per-device slots and aggregates in id order (see `slots` below), and every delay, drop and jitter draw comes from a per-(round, device) stream
                 scope.spawn(move |_| {
+                    // The actor decodes every broadcast into this one
+                    // buffer: the global model allocates once per actor.
+                    let mut global_buf: Vec<f64> = Vec::new();
                     while let Ok(frame) = rx.recv() {
                         // Frames come from `codec::encode` in this very
                         // process, so a decode failure is a codec bug.
                         // The device cannot even learn the round from a
                         // mangled frame: it reports the bug as a typed
                         // `Malformed` message and retires.
-                        let decoded = match codec::decode(&frame) {
+                        let decoded = match codec::decode_into(&frame, &mut global_buf) {
                             Ok(msg) => msg,
                             Err(_) => {
                                 let bug = Message::Malformed { device: id as u32 };
@@ -412,9 +423,11 @@ impl NetworkRuntime {
                             }
                         };
                         match decoded {
-                            Message::GlobalModel { round, params } => {
+                            Message::GlobalModel { round, .. } => {
                                 let outcome = std::panic::catch_unwind(
-                                    std::panic::AssertUnwindSafe(|| worker.update(round, &params)),
+                                    std::panic::AssertUnwindSafe(|| {
+                                        worker.update(round, &global_buf)
+                                    }),
                                 );
                                 let (msg, retire) = match outcome {
                                     Ok(Ok(reply)) => (
@@ -562,7 +575,9 @@ impl NetworkRuntime {
                     // device-id order — floating-point addition is not
                     // associative, and the sequential/parallel backends sum in
                     // id order, so this keeps all three backends bit-identical.
-                    let mut slots: Vec<Option<(Vec<f64>, f64)>> = vec![None; n];
+                    // `slots[d]` is the weight of device d's accepted reply,
+                    // whose model sits in `slot_params[d]`.
+                    let mut slots: Vec<Option<f64>> = vec![None; n];
                     let mut grad_evals_this_round = 0u64;
                     for _ in 0..sent {
                         let frame = {
@@ -574,16 +589,16 @@ impl NetworkRuntime {
                         let up_len = frame.len();
                         let decoded = {
                             fedprox_telemetry::span!("net", "decode", "bytes" => up_len);
-                            codec::decode(&frame)?
+                            codec::decode_into(&frame, &mut recv_buf)?
                         };
                         match decoded {
                             Message::LocalModel {
                                 device,
-                                params,
                                 weight,
                                 compute_time,
                                 grad_evals,
                                 round: r,
+                                ..
                             } => {
                                 if r != round {
                                     return Err(NetError::StaleRound {
@@ -630,7 +645,11 @@ impl NetworkRuntime {
                                             *wire_slot(&mut outcomes, device)? =
                                                 DeviceOutcome::DeadlineMiss;
                                         } else {
-                                            *wire_slot(&mut slots, device)? = Some((params, weight));
+                                            *wire_slot(&mut slots, device)? = Some(weight);
+                                            std::mem::swap(
+                                                wire_slot(&mut slot_params, device)?,
+                                                &mut recv_buf,
+                                            );
                                         }
                                     }
                                     Transfer::Exhausted { wasted, retries } => {
@@ -682,11 +701,12 @@ impl NetworkRuntime {
                     // device's reply; under a resilience policy a round
                     // below quorum is skipped-and-counted (global
                     // unchanged).
-                    let mut agg = vec![0.0f64; dim];
+                    agg.clear();
+                    agg.resize(dim, 0.0);
                     let mut weight_sum = 0.0;
                     let mut responders = 0usize;
-                    for (d, slot) in slots.iter().enumerate() {
-                        let Some((params, weight)) = slot else {
+                    for (d, (slot, params)) in slots.iter().zip(&slot_params).enumerate() {
+                        let Some(weight) = slot else {
                             if resil.is_none() {
                                 return Err(NetError::MissingReply { device: d });
                             }
@@ -707,7 +727,7 @@ impl NetworkRuntime {
                         for a in agg.iter_mut() {
                             *a /= weight_sum;
                         }
-                        global = agg;
+                        std::mem::swap(&mut global, &mut agg);
                     }
                     // Round duration: responders contribute their finish,
                     // deadline misses the deadline itself (the server

@@ -43,6 +43,10 @@ impl Proximal for ZeroProx {
 /// The paper's quadratic penalty `h_s(w) = μ/2 ‖w − anchor‖²` with its
 /// closed-form prox (eq. (10)).
 ///
+/// The anchor is any `AsRef<[f64]>`: an owned `Vec<f64>` (the default)
+/// or a borrowed `&[f64]`, which lets the device update anchor at the
+/// received global model without copying it every solve.
+///
 /// ```
 /// use fedprox_optim::{Proximal, QuadraticProx};
 /// let prox = QuadraticProx::new(2.0, vec![1.0, -1.0]);
@@ -52,39 +56,40 @@ impl Proximal for ZeroProx {
 /// assert!((out[0] - (3.0 + 0.5) / 1.5).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone)]
-pub struct QuadraticProx {
+pub struct QuadraticProx<A = Vec<f64>> {
     /// Proximal penalty coefficient μ.
     pub mu: f64,
     /// The anchor `w̄^{(s−1)}` (the current global model).
-    pub anchor: Vec<f64>,
+    pub anchor: A,
 }
 
-impl QuadraticProx {
+impl<A: AsRef<[f64]>> QuadraticProx<A> {
     /// Build with penalty `mu` around `anchor`.
-    pub fn new(mu: f64, anchor: Vec<f64>) -> Self {
+    pub fn new(mu: f64, anchor: A) -> Self {
         assert!(mu >= 0.0, "mu must be non-negative");
         QuadraticProx { mu, anchor }
     }
 }
 
-impl Proximal for QuadraticProx {
+impl<A: AsRef<[f64]> + Send + Sync> Proximal for QuadraticProx<A> {
     fn prox(&self, eta: f64, x: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.anchor.len());
+        let anchor = self.anchor.as_ref();
+        debug_assert_eq!(x.len(), anchor.len());
         debug_assert_eq!(out.len(), x.len());
         let denom = 1.0 + eta * self.mu;
         let coef = eta * self.mu / denom;
-        for ((o, &xi), &ai) in out.iter_mut().zip(x).zip(&self.anchor) {
+        for ((o, &xi), &ai) in out.iter_mut().zip(x).zip(anchor) {
             *o = xi / denom + coef * ai;
         }
     }
 
     fn value(&self, w: &[f64]) -> f64 {
-        self.mu / 2.0 * vecops::dist_sq(w, &self.anchor)
+        self.mu / 2.0 * vecops::dist_sq(w, self.anchor.as_ref())
     }
 
     fn grad_accum(&self, w: &[f64], scale: f64, out: &mut [f64]) {
         let s = scale * self.mu;
-        for ((o, &wi), &ai) in out.iter_mut().zip(w).zip(&self.anchor) {
+        for ((o, &wi), &ai) in out.iter_mut().zip(w).zip(self.anchor.as_ref()) {
             *o += s * (wi - ai);
         }
     }
@@ -172,43 +177,45 @@ impl Proximal for ElasticNetProx {
 /// `h(w) = μ/2 ‖w − w̄‖² + l1 ‖w‖₁`. The prox remains closed-form: the
 /// quadratic part shifts/shrinks, then soft-threshold — giving *sparse
 /// FedProxVR* local updates (a natural extension the paper's framework
-/// admits because h only needs to be proximable).
+/// admits because h only needs to be proximable). The anchor is owned
+/// or borrowed, as for [`QuadraticProx`].
 #[derive(Debug, Clone)]
-pub struct SparseQuadraticProx {
+pub struct SparseQuadraticProx<A = Vec<f64>> {
     /// Proximal penalty μ.
     pub mu: f64,
     /// L1 strength.
     pub l1: f64,
     /// The anchor `w̄^{(s−1)}`.
-    pub anchor: Vec<f64>,
+    pub anchor: A,
 }
 
-impl SparseQuadraticProx {
+impl<A: AsRef<[f64]>> SparseQuadraticProx<A> {
     /// Build with penalty `mu`, sparsity `l1`, around `anchor`.
-    pub fn new(mu: f64, l1: f64, anchor: Vec<f64>) -> Self {
+    pub fn new(mu: f64, l1: f64, anchor: A) -> Self {
         assert!(mu >= 0.0 && l1 >= 0.0);
         SparseQuadraticProx { mu, l1, anchor }
     }
 }
 
-impl Proximal for SparseQuadraticProx {
+impl<A: AsRef<[f64]> + Send + Sync> Proximal for SparseQuadraticProx<A> {
     fn prox(&self, eta: f64, x: &[f64], out: &mut [f64]) {
         // argmin_w  μ/2‖w−a‖² + l1‖w‖₁ + ‖w−x‖²/(2η)
         // = soft_threshold((x + ημ a)/(1+ημ), η l1/(1+ημ)).
-        debug_assert_eq!(x.len(), self.anchor.len());
+        let anchor = self.anchor.as_ref();
+        debug_assert_eq!(x.len(), anchor.len());
         let denom = 1.0 + eta * self.mu;
         let t = eta * self.l1 / denom;
-        for ((o, &xi), &ai) in out.iter_mut().zip(x).zip(&self.anchor) {
+        for ((o, &xi), &ai) in out.iter_mut().zip(x).zip(anchor) {
             let centred = (xi + eta * self.mu * ai) / denom;
             *o = soft_threshold(centred, t);
         }
     }
     fn value(&self, w: &[f64]) -> f64 {
-        self.mu / 2.0 * vecops::dist_sq(w, &self.anchor)
+        self.mu / 2.0 * vecops::dist_sq(w, self.anchor.as_ref())
             + self.l1 * w.iter().map(|v| v.abs()).sum::<f64>()
     }
     fn grad_accum(&self, w: &[f64], scale: f64, out: &mut [f64]) {
-        for ((o, &wi), &ai) in out.iter_mut().zip(w).zip(&self.anchor) {
+        for ((o, &wi), &ai) in out.iter_mut().zip(w).zip(self.anchor.as_ref()) {
             *o += scale * (self.mu * (wi - ai) + self.l1 * wi.signum());
         }
     }

@@ -79,8 +79,15 @@ pub struct SolveScratch {
 
 impl SolveScratch {
     /// Fresh, empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        SolveScratch::default()
+    pub const fn new() -> Self {
+        SolveScratch {
+            est: None,
+            batch: Vec::new(),
+            pool: Vec::new(),
+            w_t: Vec::new(),
+            x: Vec::new(),
+            w_next: Vec::new(),
+        }
     }
 }
 
@@ -102,26 +109,7 @@ impl LocalSolver {
         cfg: &LocalSolverConfig,
         rng: &mut R,
     ) -> LocalOutcome {
-        self.solve_anchored(model, data, prox, w0, cfg, rng, None)
-    }
-
-    /// Like [`Self::solve`], but with an optional externally-supplied
-    /// anchor gradient for VR estimators (the FSVRG pattern: the server
-    /// ships `∇F̄(w̄)` alongside the model and devices anchor there
-    /// instead of computing their own full gradient).
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_anchored<M: LossModel, P: Proximal, R: Rng>(
-        &self,
-        model: &M,
-        data: &Dataset,
-        prox: &P,
-        w0: &[f64],
-        cfg: &LocalSolverConfig,
-        rng: &mut R,
-        anchor_grad: Option<&[f64]>,
-    ) -> LocalOutcome {
-        let mut scratch = SolveScratch::new();
-        self.solve_anchored_with(model, data, prox, w0, cfg, rng, anchor_grad, &mut scratch)
+        self.solve_with(model, data, prox, w0, cfg, rng, &mut SolveScratch::new())
     }
 
     /// Like [`Self::solve`], reusing `scratch` across calls — the hot
@@ -142,7 +130,10 @@ impl LocalSolver {
         self.solve_anchored_with(model, data, prox, w0, cfg, rng, None, scratch)
     }
 
-    /// [`Self::solve_anchored`] with caller-held [`SolveScratch`].
+    /// [`Self::solve_with`] with an optional externally-supplied anchor
+    /// gradient for VR estimators (the FSVRG pattern: the server ships
+    /// `∇F̄(w̄)` alongside the model and devices anchor there instead of
+    /// computing their own full gradient).
     #[allow(clippy::too_many_arguments)]
     pub fn solve_anchored_with<M: LossModel, P: Proximal, R: Rng>(
         &self,
@@ -233,12 +224,10 @@ impl LocalSolver {
             }
         }
 
-        let w = match cfg.choice {
-            IterateChoice::Last => scratch.w_t.clone(),
-            // `chosen_t` ∈ [1, τ+1] by construction, so `kept` is
-            // always recorded; the fallback is the last iterate.
-            IterateChoice::UniformRandom => kept.unwrap_or_else(|| scratch.w_t.clone()),
-        };
+        // `chosen_t` ∈ [0, τ+1] by construction (τ+1 for `Last`), so
+        // `kept` already holds the returned iterate, cloned once; the
+        // fallback is the last iterate.
+        let w = kept.unwrap_or_else(|| scratch.w_t.clone());
         LocalOutcome {
             w,
             chosen_t,

@@ -224,43 +224,82 @@ pub fn gemm<A: GemmSource, B: GemmSource>(
     }
 }
 
-/// Rows sharing one streamed pass over `x` in the blocked matvec
-/// (independent of the GEMM tile height).
-const MV_ROWS: usize = 4;
+/// Widest row block the matvec runs as one interleaved pass; a matrix
+/// of at most this many rows (the 10-class heads) is a single block.
+/// Wider blocks spill their accumulators and row pointers: measured on
+/// an AVX-512 Xeon at k = 784, 4–10 rows cost ~0.26–0.30 ns per
+/// multiply-add, 11–12 rows ~0.35–0.41 ns and one row 0.75 ns.
+const MV_MAX_ROWS: usize = 10;
+/// Row block for taller matrices, until at most [`MV_MAX_ROWS`] remain.
+const MV_ROWS: usize = 8;
+/// `x` elements consumed per step of a row block's pass.
+const MV_LANES: usize = 4;
 
-/// Tiled matvec `out = a · x` (`a` is `m × k` row-major), row-blocked:
-/// four rows share each streamed load of `x`, each row keeping its own
-/// sequential accumulator chain (bitwise equal to a per-row
-/// `vecops::dot`).
+/// `out[r] = Σ_kk a[r, kk] · x[kk]` for the `R` rows of `a`, all rows
+/// interleaved in one pass over `x`. Each output keeps its own
+/// sequential chain from 0.0 in increasing `kk` order, so the bits are
+/// [`super::reference::matvec_ref`]'s; interleaving only hides the
+/// add latency of one chain behind the others.
+#[inline(always)]
+fn matvec_rows<const R: usize>(a: &[f64], k: usize, x: &[f64], out: &mut [f64]) {
+    let x = &x[..k];
+    // `[..k]` makes every row's length `k` visible to the optimiser, so
+    // the indexing below needs no bounds checks.
+    let rows: [&[f64]; R] = std::array::from_fn(|r| &a[r * k..][..k]);
+    let mut s = [0.0f64; R];
+    // Four `x` lanes per step: each row loads its four weights as one
+    // contiguous chunk, then adds the four products to its chain in
+    // `kk` order.
+    let mut xs = x.chunks_exact(MV_LANES);
+    let mut kk = 0;
+    for xc in &mut xs {
+        for (acc, row) in s.iter_mut().zip(&rows) {
+            let c = &row[kk..kk + MV_LANES];
+            for (av, xv) in c.iter().zip(xc) {
+                *acc += av * xv;
+            }
+        }
+        kk += MV_LANES;
+    }
+    for (j, &xv) in xs.remainder().iter().enumerate() {
+        for (acc, row) in s.iter_mut().zip(&rows) {
+            *acc += row[kk + j] * xv;
+        }
+    }
+    out[..R].copy_from_slice(&s);
+}
+
+/// One block of `rows ≤ MV_MAX_ROWS` rows through its const-width pass.
+fn matvec_block(rows: usize, a: &[f64], k: usize, x: &[f64], out: &mut [f64]) {
+    match rows {
+        0 => {}
+        1 => matvec_rows::<1>(a, k, x, out),
+        2 => matvec_rows::<2>(a, k, x, out),
+        3 => matvec_rows::<3>(a, k, x, out),
+        4 => matvec_rows::<4>(a, k, x, out),
+        5 => matvec_rows::<5>(a, k, x, out),
+        6 => matvec_rows::<6>(a, k, x, out),
+        7 => matvec_rows::<7>(a, k, x, out),
+        8 => matvec_rows::<8>(a, k, x, out),
+        9 => matvec_rows::<9>(a, k, x, out),
+        _ => matvec_rows::<MV_MAX_ROWS>(a, k, x, out),
+    }
+}
+
+/// Tiled matvec `out = a · x` (`a` is `m × k` row-major). Rows go in
+/// blocks of [`MV_ROWS`] until at most [`MV_MAX_ROWS`] remain, which
+/// then run as one block, so no row is ever a lone dependent chain.
+/// Every output is bitwise a per-row `vecops::dot`.
 pub fn matvec(a: &[f64], m: usize, k: usize, x: &[f64], out: &mut [f64]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(x.len(), k);
     debug_assert_eq!(out.len(), m);
     let mut rb = 0;
-    while rb + MV_ROWS <= m {
-        let base = rb * k;
-        let row0 = &a[base..base + k];
-        let row1 = &a[base + k..base + 2 * k];
-        let row2 = &a[base + 2 * k..base + 3 * k];
-        let row3 = &a[base + 3 * k..base + 4 * k];
-        let mut s = [0.0f64; MV_ROWS];
-        for (kk, &xv) in x.iter().enumerate() {
-            s[0] += row0[kk] * xv;
-            s[1] += row1[kk] * xv;
-            s[2] += row2[kk] * xv;
-            s[3] += row3[kk] * xv;
-        }
-        out[rb..rb + MV_ROWS].copy_from_slice(&s);
+    while m - rb > MV_MAX_ROWS {
+        matvec_rows::<MV_ROWS>(&a[rb * k..], k, x, &mut out[rb..]);
         rb += MV_ROWS;
     }
-    for (i, o) in out.iter_mut().enumerate().skip(rb) {
-        let row = &a[i * k..(i + 1) * k];
-        let mut s = 0.0;
-        for (av, xv) in row.iter().zip(x) {
-            s += av * xv;
-        }
-        *o = s;
-    }
+    matvec_block(m - rb, &a[rb * k..], k, x, &mut out[rb..]);
 }
 
 /// One column block of the transposed matvec: sweeps all rows, so each

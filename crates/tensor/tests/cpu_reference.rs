@@ -108,7 +108,7 @@ fn matmul_all_variants_match_reference_bitwise_across_shape_sweep() {
 #[test]
 fn matvec_and_matvec_t_match_reference_bitwise_across_shape_sweep() {
     let _g = lock();
-    // (m, k) straddles the 4-row register block and the matvec_t
+    // (m, k) straddles the matvec row blocks and the matvec_t
     // 2048-column block.
     for (m, k) in [
         (1, 1),
@@ -138,6 +138,55 @@ fn matvec_and_matvec_t_match_reference_bitwise_across_shape_sweep() {
         let ctx = format!("m={m} k={k}");
         assert_bits_eq(&t_mv, &r_mv, &format!("matvec tiled {ctx}"));
         assert_bits_eq(&t_mvt, &r_mvt, &format!("matvec_t tiled {ctx}"));
+    }
+}
+
+/// Values that stress the summation order: signed zeros, subnormals and
+/// magnitudes 300 decades apart, mixed with the plain stream. A sum
+/// that skipped the chain's 0.0 start, reassociated, or fused a
+/// multiply-add would change bits on this data.
+fn hostile(seed: u64, n: usize) -> Vec<f64> {
+    let base = stream(seed, n);
+    base.iter()
+        .enumerate()
+        .map(|(i, &v)| match (i as u64 ^ seed) % 9 {
+            0 => -0.0,
+            1 => 0.0,
+            2 => f64::from_bits(1 + (seed + i as u64) % 4096), // subnormal
+            3 => -f64::MIN_POSITIVE * v.abs(),                // subnormal or tiny normal
+            4 => v * 1e150,
+            5 => v * 1e-150,
+            6 => v * 3.0e7,
+            _ => v,
+        })
+        .collect()
+}
+
+#[test]
+fn matvec_matches_reference_bitwise_for_every_row_block_and_hostile_data() {
+    use fedprox_tensor::kernel::{reference, tiled};
+    // Every m in 0..=20 covers each const row-block width, the 8-row
+    // blocks and every remainder the dispatch can leave; the k values
+    // cover empty rows, no full 4-lane step, a remainder of 0 and of 1.
+    for m in 0..=20usize {
+        for k in [0usize, 1, 3, 60, 784, 785] {
+            let seed = (m * 1_000 + k) as u64;
+            let a = hostile(seed, m * k);
+            let x = hostile(seed ^ 0x5A, k);
+            let mut want = vec![f64::NAN; m];
+            reference::matvec_ref(&a, m, k, &x, &mut want);
+            let mut got = vec![f64::NAN; m];
+            tiled::matvec(&a, m, k, &x, &mut got);
+            assert_bits_eq(&got, &want, &format!("matvec m={m} k={k}"));
+            // A row of -0.0 products sums to +0.0 from the 0.0 start.
+            if k > 0 {
+                let neg = vec![-0.0; m * k];
+                let mut got = vec![f64::NAN; m];
+                tiled::matvec(&neg, m, k, &x, &mut got);
+                reference::matvec_ref(&neg, m, k, &x, &mut want);
+                assert_bits_eq(&got, &want, &format!("matvec -0.0 rows m={m} k={k}"));
+            }
+        }
     }
 }
 
