@@ -71,11 +71,13 @@ cargo build -q --release -p fedprox-perfbench
 # recorded before the row-interleaved matvec and the reused solve
 # scratch. All three run in --release: the shipped target-cpu=native
 # release codegen is what must stay bitwise. The fedperf baseline gate
-# then catches kernel *speed* regressions against the committed
-# BENCH_seed.json (recorded from the tiled kernels). The default ratio is deliberately loose
-# (3.0, override with FEDPERF_GATE_RATIO): back-to-back identical runs
-# on shared hosts swing 2-3x, so a tight gate would be flakier than it
-# is protective — tight gating (e.g. 1.25) stays a manual/local
+# then checks every entry shared with the committed BENCH_seed.json
+# (recorded from the tiled kernels): bytes/iter and allocs/iter are
+# exact run to run, so either one above the baseline fails outright;
+# ns/iter fails only past a deliberately loose ratio (3.0, override
+# with FEDPERF_GATE_RATIO): back-to-back identical runs on shared hosts
+# swing 2-3x, so a tight time gate would be flakier than it is
+# protective — tight time gating (e.g. 1.25) stays a manual/local
 # workflow on a quiet machine.
 echo "==> kernel-diff (cpu_reference + determinism + solve_pins in --release, fedperf --baseline --gate)"
 cargo test -q --release -p fedprox-tensor --test cpu_reference
@@ -86,7 +88,9 @@ cargo test -q --release -p fedprox --test solve_pins
 # specs-golden: the committed specs must regenerate, byte for byte,
 # every file the figure, table, fedresil and fedsim binaries they
 # replaced wrote at these invocations (SHA-256 digests recorded from
-# those binaries in specs/golden.sha256). Builds the telemetry bench
+# those binaries in specs/golden.sha256; the two networked fedresil
+# files were re-recorded when their per-round `bytes` began counting
+# each round's own traffic, no other field moving). Builds the telemetry bench
 # binaries the smoke stages below reuse (the fedsim spec's allocation
 # gate needs the counting allocator). Reuses the perf-smoke tmp dir.
 echo "==> specs-golden (committed specs regenerate the golden files byte for byte)"

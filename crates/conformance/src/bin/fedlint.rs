@@ -19,13 +19,9 @@
 //!
 //! fedlint graph [--root DIR] [--dot]
 //!     Print call-graph statistics, or the full graph in DOT format.
-//!
-//! fedlint --workspace [--root DIR]      # legacy lexer-only pass
-//! fedlint FILE.rs [FILE.rs ...]         # legacy per-file pass
 //! ```
 
 use fedprox_conformance::engine::{self, Analysis, Baseline};
-use fedprox_conformance::{check_source, check_workspace, Report, Rule, RuleSet};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -34,8 +30,6 @@ fn usage() -> ExitCode {
     eprintln!("       fedlint check --baseline PATH [--gate] [--root DIR]");
     eprintln!("       fedlint baseline [--root DIR] [--out PATH]");
     eprintln!("       fedlint graph [--root DIR] [--dot]");
-    eprintln!("       fedlint --workspace [--root DIR]");
-    eprintln!("       fedlint FILE.rs [FILE.rs ...]");
     ExitCode::from(2)
 }
 
@@ -51,7 +45,7 @@ fn main() -> ExitCode {
             println!("fedlint: FedProxVR workspace conformance checker");
             usage()
         }
-        _ => legacy(args),
+        _ => usage(),
     }
 }
 
@@ -267,80 +261,6 @@ fn print_counts(analysis: &Analysis) {
     println!("{:<28} {:>10} {:>8}", "rule", "violations", "allowed");
     for (id, c) in analysis.counts() {
         println!("{id:<28} {:>10} {:>8}", c.violations, c.allowed);
-    }
-}
-
-/// The pre-subcommand interface: `--workspace` or a list of files,
-/// lexer rules only. Kept so existing muscle memory and scripts work.
-fn legacy(args: Vec<String>) -> ExitCode {
-    let mut workspace = false;
-    let mut root: Option<PathBuf> = None;
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--workspace" => workspace = true,
-            "--root" => match it.next() {
-                Some(dir) => root = Some(PathBuf::from(dir)),
-                None => return usage(),
-            },
-            other if other.starts_with('-') => return usage(),
-            other => files.push(PathBuf::from(other)),
-        }
-    }
-    if !workspace && files.is_empty() {
-        return usage();
-    }
-
-    let report = if workspace {
-        let root = root.unwrap_or_else(find_workspace_root);
-        match check_workspace(&root) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("fedlint: cannot walk workspace at {}: {e}", root.display());
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        let mut merged = Report::default();
-        let rules = RuleSet::all().without(Rule::LossyCast);
-        for file in &files {
-            let source = match std::fs::read_to_string(file) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("fedlint: cannot read {}: {e}", file.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let sub = check_source(&file.to_string_lossy(), &source, rules);
-            merged.violations.extend(sub.violations);
-            merged.allowed.extend(sub.allowed);
-            merged.bad_annotations.extend(sub.bad_annotations);
-        }
-        merged
-    };
-
-    for v in &report.bad_annotations {
-        println!("{v}");
-    }
-    for v in &report.violations {
-        println!("{v}");
-    }
-    if report.is_clean() {
-        println!(
-            "fedlint: clean ({} annotated allowance{})",
-            report.allowed.len(),
-            if report.allowed.len() == 1 { "" } else { "s" }
-        );
-        ExitCode::SUCCESS
-    } else {
-        println!(
-            "fedlint: {} violation(s), {} malformed annotation(s), {} allowed site(s)",
-            report.violations.len(),
-            report.bad_annotations.len(),
-            report.allowed.len()
-        );
-        ExitCode::FAILURE
     }
 }
 

@@ -406,8 +406,9 @@ fn load_workspace(root: &Path) -> std::io::Result<LoadedWorkspace> {
     Ok((files, manifests))
 }
 
-/// Layer 1: the line-local R1–R6 rules, with the same per-crate and
-/// per-file scoping as [`crate::check_workspace`].
+/// Layer 1: the line-local R1–R6 rules, scoped per crate by
+/// [`rules_for_crate`]: binaries may print, and the net backend's
+/// virtual clock may name wall time.
 fn lexer_rules(analysis: &mut Analysis) {
     let mut findings = Vec::new();
     for file in &analysis.files {

@@ -1,9 +1,10 @@
 //! `fedlint`: a dependency-free static conformance pass over the
 //! FedProxVR workspace sources.
 //!
-//! The pass walks `crates/*/src/**.rs`, scans each file with a
-//! string/comment-aware lexer ([`lexer`]), and enforces the workspace
-//! rules R1–R5 (see [`Rule`]). Justified exceptions are annotated in
+//! The [`engine`] walks `crates/*/src/**.rs`, scans each file with a
+//! string/comment-aware lexer ([`lexer`]), and enforces the line-local
+//! workspace rules R1–R6 (see [`Rule`]) through [`check_source`]
+//! beside its call-graph rules. Justified exceptions are annotated in
 //! source as:
 //!
 //! ```text
@@ -242,12 +243,6 @@ impl Report {
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty() && self.bad_annotations.is_empty()
     }
-
-    fn merge(&mut self, other: Report) {
-        self.violations.extend(other.violations);
-        self.allowed.extend(other.allowed);
-        self.bad_annotations.extend(other.bad_annotations);
-    }
 }
 
 /// Rules that apply to a crate's library sources, by crate directory name.
@@ -259,7 +254,7 @@ impl Report {
 ///   only the `unsafe` hygiene rule applies.
 /// * `telemetry` is the one place allowed to read the wall clock (its
 ///   span guards time real work), so it drops R6; `net`'s virtual-clock
-///   module gets a per-file R6 exemption in [`check_workspace`].
+///   module gets a per-file R6 exemption in the engine's lexer layer.
 pub fn rules_for_crate(crate_dir: &str) -> RuleSet {
     match crate_dir {
         "tensor" => RuleSet::all(),
@@ -624,53 +619,6 @@ fn rust_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     }
     out.sort();
     Ok(out)
-}
-
-/// Check every `crates/*/src/**.rs` under `workspace_root`. Test files
-/// (`tests/`, `benches/`, `examples/`) are out of scope by construction;
-/// binaries under `src/bin/` are exempt from the debug-print rule.
-pub fn check_workspace(workspace_root: &Path) -> std::io::Result<Report> {
-    let crates_dir = workspace_root.join("crates");
-    let mut report = Report::default();
-    let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates_dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    for crate_dir in crate_dirs {
-        let name = crate_dir
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let src = crate_dir.join("src");
-        if !src.is_dir() {
-            continue;
-        }
-        let base_rules = rules_for_crate(&name);
-        for file in rust_files(&src)? {
-            let mut rules = base_rules;
-            // Binaries own their stdout: they may print.
-            if file.strip_prefix(&src).is_ok_and(|rel| rel.starts_with("bin")) {
-                rules = rules.without(Rule::NoDebugPrint);
-            }
-            // The virtual clock is the net backend's one sanctioned
-            // time module (it defines simulated time itself).
-            if name == "net"
-                && file.strip_prefix(&src).is_ok_and(|rel| rel == Path::new("clock.rs"))
-            {
-                rules = rules.without(Rule::WallClock);
-            }
-            let source = std::fs::read_to_string(&file)?;
-            let display = file
-                .strip_prefix(workspace_root)
-                .unwrap_or(&file)
-                .to_string_lossy()
-                .into_owned();
-            report.merge(check_source(&display, &source, rules));
-        }
-    }
-    Ok(report)
 }
 
 #[cfg(test)]

@@ -191,29 +191,29 @@ impl<'a, M: LossModel> FederatedTrainer<'a, M> {
             acc += d;
             cumulative.push(acc);
         }
-        let mut evals = RunningTotal::new();
-        let cumulative_evals: Vec<u64> = report
-            .round_grad_evals
-            .iter()
-            .map(|&e| {
-                evals.add(e);
-                evals.get()
-            })
-            .collect();
-        let total_bytes = report.clock.bytes_up().saturating_add(report.clock.bytes_down());
-        let per_round_bytes = if report.rounds_run > 0 {
-            total_bytes / report.rounds_run as u64
-        } else {
-            0
+        let running = |per_round: &[u64]| -> Vec<u64> {
+            let mut total = RunningTotal::new();
+            per_round
+                .iter()
+                .map(|&x| {
+                    total.add(x);
+                    total.get()
+                })
+                .collect()
         };
+        let cumulative_evals = running(&report.round_grad_evals);
+        let cumulative_bytes = running(&report.round_bytes);
         for rec in end.records.iter_mut() {
-            if rec.round >= 1 && rec.round <= cumulative.len() {
-                rec.sim_time = cumulative[rec.round - 1];
-                rec.bytes = per_round_bytes.saturating_mul(rec.round as u64);
-            }
-            let upto = rec.round.checked_sub(1).and_then(|r| cumulative_evals.get(r));
-            if let Some(&evals) = upto {
-                rec.grad_evals = evals;
+            if let Some(r) = rec.round.checked_sub(1) {
+                if let Some(&t) = cumulative.get(r) {
+                    rec.sim_time = t;
+                }
+                if let Some(&bytes) = cumulative_bytes.get(r) {
+                    rec.bytes = bytes;
+                }
+                if let Some(&evals) = cumulative_evals.get(r) {
+                    rec.grad_evals = evals;
+                }
             }
         }
 

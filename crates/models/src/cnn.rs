@@ -4,8 +4,8 @@
 //! et al.'s FedAvg paper. Forward and backward passes are hand-written on
 //! top of `fedprox_tensor::conv`.
 //!
-//! The layer sizes are configurable so tests and Criterion benches can run
-//! a scaled-down instance ([`CnnSpec::tiny`]) with identical code paths.
+//! The layer sizes are configurable so tests and benchmarks can run a
+//! scaled-down instance ([`CnnSpec::tiny`]) with identical code paths.
 
 use crate::{GradScratch, LossModel};
 use fedprox_data::Dataset;
@@ -95,7 +95,7 @@ impl CnnSpec {
         CnnSpec { fc_hidden: Some(10), ..Self::tiny() }
     }
 
-    /// Moderate instance used by the Criterion meso-benches.
+    /// Moderate instance (28x28, 8 then 16 channels): the `small` spec preset.
     pub fn small() -> Self {
         CnnSpec {
             in_ch: 1,

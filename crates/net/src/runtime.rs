@@ -324,6 +324,10 @@ pub struct NetReport {
     /// deadline miss or an exhausted uplink still did the work). One
     /// entry per executed round, like `round_durations`.
     pub round_grad_evals: Vec<u64>,
+    /// Per-round wire traffic in bytes, both directions, retransmissions
+    /// included: the clock's `bytes_up + bytes_down` gained that round.
+    /// One entry per executed round; the entries sum to the clock total.
+    pub round_bytes: Vec<u64>,
     /// Rounds actually executed (callback may stop early).
     pub rounds_run: u32,
     /// Per-round participation records. Empty in strict mode
@@ -375,6 +379,7 @@ impl NetworkRuntime {
         let mut round_durations = Vec::new();
         let mut round_skews = Vec::new();
         let mut round_grad_evals = Vec::new();
+        let mut round_bytes = Vec::new();
         let mut participation: Vec<RoundParticipation> = Vec::new();
         let mut global = initial;
         let mut rounds_run = 0;
@@ -486,7 +491,6 @@ impl NetworkRuntime {
                     // 1-based global round `s` of Algorithm 1, the index
                     // every fault-plan query speaks.
                     let s = round as usize + 1;
-                    #[cfg(feature = "telemetry")]
                     let traffic_before = (clock.bytes_down(), clock.bytes_up());
                     let broadcast = {
                         fedprox_telemetry::span!("net", "encode", "round" => round);
@@ -754,6 +758,10 @@ impl NetworkRuntime {
                     round_durations.push(clock.advance_partial_round(&candidates));
                     round_skews.push(skew_from_finishes(finishes));
                     round_grad_evals.push(grad_evals_this_round);
+                    round_bytes.push(
+                        (clock.bytes_down() - traffic_before.0)
+                            + (clock.bytes_up() - traffic_before.1),
+                    );
                     if resil.is_some() {
                         participation.push(RoundParticipation {
                             round: s,
@@ -816,6 +824,7 @@ impl NetworkRuntime {
             round_durations,
             round_skews,
             round_grad_evals,
+            round_bytes,
             rounds_run,
             participation,
         })
@@ -988,6 +997,11 @@ mod tests {
         assert!(report.retransmissions > 0, "expected some drops at p=0.3");
         // The run still converges: payloads are never lost.
         assert!((report.final_model[0] - 1.0).abs() < 1e-6);
+        // Every retransmitted frame is charged to its own round.
+        assert_eq!(report.round_bytes.len(), 40);
+        let total = report.clock.bytes_up() + report.clock.bytes_down();
+        assert_eq!(report.round_bytes.iter().sum::<u64>(), total);
+        assert!(report.round_bytes.iter().any(|&b| b != report.round_bytes[0]));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! * default: run the suite, print the human table, and (with `--out`)
 //!   write `BENCH_<name>.json`;
 //! * `--baseline old.json --gate 1.25`: run the suite, then fail if any
-//!   shared entry regressed past the ratio;
+//!   shared entry regressed past the ratio or allocates more per
+//!   iteration (bytes or calls) than the baseline;
 //! * `--validate a.json [b.json ...]`: schema-check existing reports;
 //! * `--check-determinism a.json b.json`: require two reports to declare
 //!   identical benchmark structure (ids + iteration counts; timings are
@@ -22,7 +23,8 @@ const USAGE: &str = "usage: fedperf [OPTIONS]
   --out DIR               directory to write the JSON report into
   --filter SUBSTR         only run benches whose id contains SUBSTR
   --list                  list bench ids and exit
-  --baseline FILE         compare against a prior report
+  --baseline FILE         compare against a prior report (bytes/iter and
+                          allocs/iter must not exceed it)
   --gate RATIO            max allowed ns/iter ratio vs baseline (default 1.25)
   --validate FILE...      schema-check report files and exit
   --check-determinism A B require identical structure in two reports, exit
@@ -145,9 +147,12 @@ fn run(o: &Opts) -> Result<(), String> {
         let outcome = report::gate(&base, &rep, o.gate);
         print!("{}", report::gate_table(&outcome, o.gate));
         if !outcome.passed() {
-            return Err(format!("regression gate failed (ratio > {})", o.gate));
+            return Err(format!(
+                "regression gate failed (ratio > {} or counters above baseline)",
+                o.gate
+            ));
         }
-        println!("gate passed (<= {}x baseline)", o.gate);
+        println!("gate passed (<= {}x baseline, counters <= baseline)", o.gate);
     }
     Ok(())
 }

@@ -18,7 +18,8 @@
 //! * **Schema'd output.** Reports serialize as `BENCH_<name>.json` with
 //!   `schema: "fedperf/v1"`; [`report::validate`] checks the shape and
 //!   [`report::gate`] implements the `--baseline old.json --gate 1.25`
-//!   regression gate.
+//!   regression gate (ns/iter within the ratio, both allocation counters
+//!   at or below the baseline's).
 //!
 //! The library holds the machinery; the `fedperf` binary drives it.
 

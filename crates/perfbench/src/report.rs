@@ -165,7 +165,11 @@ pub struct GateRow {
     pub cur_ns: f64,
     /// `cur / base` (1.0 when the baseline is zero).
     pub ratio: f64,
-    /// Whether this row breaches the gate.
+    /// Allocation counters above the baseline's, e.g.
+    /// `allocs/iter 11.0 -> 12.0`; empty when none rose.
+    pub counter_breaches: Vec<String>,
+    /// Whether this row breaches the gate: ns/iter over the ratio, or
+    /// any counter breach.
     pub failed: bool,
 }
 
@@ -215,8 +219,25 @@ pub fn check_comparable(baseline: &BenchReport, current: &BenchReport) -> Result
     Ok(())
 }
 
+/// The allocation counters of `cur` that exceed `base`'s. Both are exact
+/// run to run, so any rise is a regression; a side without counters
+/// (built without `count-alloc`) is not compared.
+fn counter_breaches(base: &BenchEntry, cur: &BenchEntry) -> Vec<String> {
+    [
+        ("bytes/iter", base.bytes_per_iter, cur.bytes_per_iter),
+        ("allocs/iter", base.allocs_per_iter, cur.allocs_per_iter),
+    ]
+    .into_iter()
+    .filter_map(|(name, b, c)| match (b, c) {
+        (Some(b), Some(c)) if c > b => Some(format!("{name} {b:.1} -> {c:.1}")),
+        _ => None,
+    })
+    .collect()
+}
+
 /// Compare `current` against `baseline`: an id fails when its ns/iter
-/// exceeds `gate` times the baseline's. Ids present in only one report
+/// exceeds `gate` times the baseline's, or when its bytes/iter or
+/// allocs/iter is above the baseline's. Ids present in only one report
 /// are listed but never fail the gate.
 pub fn gate(baseline: &BenchReport, current: &BenchReport, gate: f64) -> GateOutcome {
     assert!(gate > 0.0, "gate ratio must be positive");
@@ -227,12 +248,14 @@ pub fn gate(baseline: &BenchReport, current: &BenchReport, gate: f64) -> GateOut
             Some(base) => {
                 let ratio =
                     if base.ns_per_iter > 0.0 { cur.ns_per_iter / base.ns_per_iter } else { 1.0 };
+                let counter_breaches = counter_breaches(base, cur);
                 rows.push(GateRow {
                     id: cur.id.clone(),
                     base_ns: base.ns_per_iter,
                     cur_ns: cur.ns_per_iter,
                     ratio,
-                    failed: ratio > gate,
+                    failed: ratio > gate || !counter_breaches.is_empty(),
+                    counter_breaches,
                 });
             }
             None => new_ids.push(cur.id.clone()),
@@ -324,13 +347,17 @@ pub fn gate_table(outcome: &GateOutcome, gate: f64) -> String {
     ));
     for r in &outcome.rows {
         out.push_str(&format!(
-            "{:<id_w$}  {:>12}  {:>12}  {:>6.2}x  {}\n",
+            "{:<id_w$}  {:>12}  {:>12}  {:>6.2}x  {}",
             r.id,
             fmt_ns(r.base_ns),
             fmt_ns(r.cur_ns),
             r.ratio,
             if r.failed { "FAIL" } else { "ok" },
         ));
+        if !r.counter_breaches.is_empty() {
+            out.push_str(&format!(" ({})", r.counter_breaches.join(", ")));
+        }
+        out.push('\n');
     }
     for id in &outcome.new_ids {
         out.push_str(&format!("{id}: new (no baseline entry)\n"));
@@ -416,6 +443,29 @@ mod tests {
         assert!(!out.passed());
         let ok = gate(&base, &cur, 1.5);
         assert!(ok.passed());
+    }
+
+    #[test]
+    fn gate_fails_any_allocation_counter_above_the_baseline() {
+        let mut base =
+            report(vec![entry("a/1", 100.0), entry("b/1", 100.0), entry("c/1", 100.0)]);
+        base.entries[2].bytes_per_iter = Some(64.0);
+        let mut cur = base.clone();
+        // Faster, but one more allocation per iteration.
+        cur.entries[0].ns_per_iter = 50.0;
+        cur.entries[0].allocs_per_iter = Some(1.0);
+        cur.entries[1].bytes_per_iter = Some(8.0);
+        // Fewer bytes than the baseline is an improvement, not a breach.
+        cur.entries[2].bytes_per_iter = Some(32.0);
+        let out = gate(&base, &cur, 1.25);
+        assert!(out.rows[0].failed && out.rows[1].failed && !out.rows[2].failed);
+        assert_eq!(out.rows[0].counter_breaches, vec!["allocs/iter 0.0 -> 1.0".to_string()]);
+        assert_eq!(out.rows[1].counter_breaches, vec!["bytes/iter 0.0 -> 8.0".to_string()]);
+        assert!(gate_table(&out, 1.25).contains("FAIL (allocs/iter 0.0 -> 1.0)"));
+        // A side without counters (no `count-alloc`) is not compared.
+        cur.entries[0].allocs_per_iter = None;
+        cur.entries[1].bytes_per_iter = None;
+        assert!(gate(&base, &cur, 1.25).passed());
     }
 
     #[test]

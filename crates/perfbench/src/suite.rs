@@ -1,6 +1,10 @@
 //! The benchmark registry: micro-benchmarks over the tensor kernels and
 //! the optim inner loop, plus macro-benchmarks timing one full FedProxVR
-//! round per model (logistic, MLP, CNN) on small synthetic data.
+//! round per model (logistic, MLP, CNN) on small synthetic data. The
+//! paper's design points sit next to the entry they pair with: the eq. (8)
+//! estimator steps (SGD vs SVRG/SARAH, plus the anchor gradient), eq. (10)'s
+//! closed-form prox vs an iterative one, sequential vs parallel rounds,
+//! and the Fig. 1 solve of problem (23).
 //!
 //! Everything is seeded and fixed-size; the only run-to-run variation is
 //! wall time. Iteration budgets are declared per bench (full and quick),
@@ -10,14 +14,16 @@ use crate::report::{BenchEntry, BenchReport, SCHEMA};
 use crate::timer::{self, Timing};
 use fedprox_core::algorithm::Algorithm;
 use fedprox_core::config::FedConfig;
+use fedprox_core::paramopt;
 use fedprox_core::runner::run_round_subset;
 use fedprox_core::server::{aggregate, weights_from_sizes};
 use fedprox_core::device::Device;
+use fedprox_core::theory::TheoryParams;
 use fedprox_data::synthetic::{generate, SyntheticConfig};
 use fedprox_data::Dataset;
 use fedprox_models::{Cnn, CnnSpec, LossModel, Mlp, MultinomialLogistic};
 use fedprox_optim::estimator::{Estimator, EstimatorKind};
-use fedprox_optim::prox::{L1Prox, Proximal, QuadraticProx};
+use fedprox_optim::prox::{IterativeProx, L1Prox, Proximal, QuadraticProx};
 use fedprox_optim::solver::{IterateChoice, LocalSolver, LocalSolverConfig};
 use fedprox_optim::StepSize;
 use fedprox_tensor::activations::softmax_inplace;
@@ -146,10 +152,17 @@ fn matmul_bench(
     )
 }
 
-fn estimator_step_bench(kind: EstimatorKind, shape: &'static str) -> Bench {
+/// The logistic model, a 64-sample shard and the anchor point the
+/// estimator benches share.
+fn estimator_fixture() -> (MultinomialLogistic, Dataset, Vec<f64>) {
     let model = MultinomialLogistic::new(60, 10).with_l2(0.01);
     let data = image_data(64, 60, 10, 0xE57E);
     let w0 = model.init_params(3);
+    (model, data, w0)
+}
+
+fn estimator_step_bench(kind: EstimatorKind, shape: &'static str) -> Bench {
+    let (model, data, w0) = estimator_fixture();
     let mut w_t = w0.clone();
     // A fixed iterate near (but not at) the anchor, so the VR correction
     // terms do real work.
@@ -159,8 +172,10 @@ fn estimator_step_bench(kind: EstimatorKind, shape: &'static str) -> Bench {
     let batch: Vec<usize> = (0..16).map(|i| (i * 37) % 64).collect();
     let mut est = Estimator::begin(kind, &model, &data, &w0);
     let op = match kind {
+        EstimatorKind::Sgd => "sgd_step",
         EstimatorKind::Svrg => "svrg_step",
-        _ => "sarah_step",
+        EstimatorKind::Sarah => "sarah_step",
+        EstimatorKind::FullGd => "gd_step",
     };
     Bench::new(
         op,
@@ -175,15 +190,21 @@ fn estimator_step_bench(kind: EstimatorKind, shape: &'static str) -> Bench {
     )
 }
 
-fn prox_bench(op: &'static str, shape: &'static str, prox: Box<dyn Proximal>) -> Bench {
+fn prox_bench(
+    op: &'static str,
+    shape: &'static str,
+    prox: Box<dyn Proximal>,
+    full: Timing,
+    quick: Timing,
+) -> Bench {
     let x = filled_vec(8192, 0x9B0C);
     let mut out = vec![0.0; 8192];
     Bench::new(
         op,
         shape,
         "micro",
-        Timing::new(5, 200, 5),
-        Timing::new(1, 5, 3),
+        full,
+        quick,
         Box::new(move || {
             prox.prox(0.05, &x, &mut out);
             black_box(&out[..]);
@@ -191,12 +212,14 @@ fn prox_bench(op: &'static str, shape: &'static str, prox: Box<dyn Proximal>) ->
     )
 }
 
+/// One full round, `round` with devices in sequence or `round_par`
+/// fanned out over the parallel runner.
 fn round_bench(
-    op: &'static str,
     shape: &'static str,
     model: Box<dyn LossModel>,
     shards: Vec<Dataset>,
     cfg: FedConfig,
+    parallel: bool,
     full: Timing,
     quick: Timing,
 ) -> Bench {
@@ -208,13 +231,13 @@ fn round_bench(
     let w0 = model.init_params(fedprox_models::MODEL_SEED);
     let mut agg = vec![0.0; w0.len()];
     Bench::new(
-        op,
+        if parallel { "round_par" } else { "round" },
         shape,
         "macro",
         full,
         quick,
         Box::new(move || {
-            let updates = run_round_subset(&model, &devices, &all, &w0, &cfg, 0, false, None)
+            let updates = run_round_subset(&model, &devices, &all, &w0, &cfg, 0, parallel, None)
                 .expect("round");
             let pairs: Vec<(&[f64], f64)> =
                 updates.iter().zip(&weights).map(|(u, &wt)| (&u.w[..], wt)).collect();
@@ -467,14 +490,54 @@ pub fn build_suite() -> Vec<Bench> {
     }
 
     // -- optim inner loop ---------------------------------------------------
-    benches.push(estimator_step_bench(EstimatorKind::Svrg, "logistic-60x10-b16"));
-    benches.push(estimator_step_bench(EstimatorKind::Sarah, "logistic-60x10-b16"));
+    // Eq. (8)'s estimator cost: an SGD step takes one minibatch gradient,
+    // an SVRG/SARAH step two, plus the anchor full gradient `begin` takes
+    // once per local solve.
+    for kind in [EstimatorKind::Sgd, EstimatorKind::Svrg, EstimatorKind::Sarah] {
+        benches.push(estimator_step_bench(kind, "logistic-60x10-b16"));
+    }
+    {
+        let (model, data, w0) = estimator_fixture();
+        benches.push(Bench::new(
+            "svrg_begin",
+            "logistic-60x10-n64",
+            "micro",
+            Timing::new(3, 40, 5),
+            Timing::new(1, 3, 3),
+            Box::new(move || {
+                let est = Estimator::begin(EstimatorKind::Svrg, &model, &data, &w0);
+                black_box(est.direction());
+            }),
+        ));
+    }
 
+    // Eq. (10)'s closed-form prox against the same prox solved by 50
+    // gradient-descent iterations.
     {
         let anchor = filled_vec(8192, 0x9A0C);
-        benches.push(prox_bench("prox_quad", "8192", Box::new(QuadraticProx::new(0.3, anchor))));
+        let iterative = IterativeProx::new(QuadraticProx::new(0.3, anchor.clone()), 50, 0.1);
+        benches.push(prox_bench(
+            "prox_quad",
+            "8192",
+            Box::new(QuadraticProx::new(0.3, anchor)),
+            Timing::new(5, 200, 5),
+            Timing::new(1, 5, 3),
+        ));
+        benches.push(prox_bench(
+            "prox_iterative",
+            "8192",
+            Box::new(iterative),
+            Timing::new(2, 10, 5),
+            Timing::new(1, 2, 3),
+        ));
     }
-    benches.push(prox_bench("prox_l1", "8192", Box::new(L1Prox::new(0.02))));
+    benches.push(prox_bench(
+        "prox_l1",
+        "8192",
+        Box::new(L1Prox::new(0.02)),
+        Timing::new(5, 200, 5),
+        Timing::new(1, 5, 3),
+    ));
 
     // A whole local solve: anchor full gradient + tau proximal VR steps.
     {
@@ -504,11 +567,27 @@ pub fn build_suite() -> Vec<Bench> {
         ));
     }
 
-    // -- macro: one full FedProxVR round per model --------------------------
+    // Fig. 1: one solve of problem (23) at the paper's constants.
     {
+        let base = TheoryParams::fig1(f64::NAN, 1.0);
+        benches.push(Bench::new(
+            "paramopt_solve",
+            "gamma-1e-2",
+            "micro",
+            Timing::new(3, 40, 5),
+            Timing::new(1, 3, 3),
+            Box::new(move || {
+                black_box(paramopt::solve(&base, 1e-2));
+            }),
+        ));
+    }
+
+    // -- macro: one full FedProxVR round per model --------------------------
+    // The logistic round runs twice: devices in sequence, then fanned out
+    // over the parallel runner.
+    for parallel in [false, true] {
         let shards = generate(&SyntheticConfig { seed: 41, ..Default::default() }, &[40; 8]);
         benches.push(round_bench(
-            "round",
             "fedproxvr-logistic-8dev",
             Box::new(MultinomialLogistic::new(60, 10).with_l2(0.01)),
             shards,
@@ -517,6 +596,7 @@ pub fn build_suite() -> Vec<Bench> {
                 .with_tau(4)
                 .with_batch_size(8)
                 .with_mu(0.1),
+            parallel,
             Timing::new(2, 10, 5),
             Timing::new(1, 2, 2),
         ));
@@ -524,7 +604,6 @@ pub fn build_suite() -> Vec<Bench> {
     {
         let shards = generate(&SyntheticConfig { seed: 43, ..Default::default() }, &[40; 8]);
         benches.push(round_bench(
-            "round",
             "fedproxvr-mlp-8dev",
             Box::new(Mlp::new(60, 32, 10).with_l2(0.01)),
             shards,
@@ -533,6 +612,7 @@ pub fn build_suite() -> Vec<Bench> {
                 .with_tau(4)
                 .with_batch_size(8)
                 .with_mu(0.1),
+            false,
             Timing::new(2, 8, 5),
             Timing::new(1, 2, 2),
         ));
@@ -543,7 +623,6 @@ pub fn build_suite() -> Vec<Bench> {
         let shards: Vec<Dataset> =
             (0..4).map(|d| image_data(24, dim, spec.classes, 0xCCC0 + d)).collect();
         benches.push(round_bench(
-            "round",
             "fedproxvr-cnn-tiny-4dev",
             Box::new(Cnn::new(spec)),
             shards,
@@ -552,6 +631,7 @@ pub fn build_suite() -> Vec<Bench> {
                 .with_tau(2)
                 .with_batch_size(4)
                 .with_mu(0.1),
+            false,
             Timing::new(1, 4, 4),
             Timing::new(1, 1, 2),
         ));
@@ -666,6 +746,20 @@ mod tests {
         let macr = suite.iter().filter(|b| b.kind == "macro").count();
         assert!(micro >= 8, "need >= 8 micro benches, have {micro}");
         assert!(macr >= 3, "need >= 3 macro benches, have {macr}");
+        // The paper's design points, each next to the entry it pairs with.
+        for id in [
+            "sgd_step/logistic-60x10-b16",
+            "svrg_step/logistic-60x10-b16",
+            "sarah_step/logistic-60x10-b16",
+            "svrg_begin/logistic-60x10-n64",
+            "prox_quad/8192",
+            "prox_iterative/8192",
+            "round/fedproxvr-logistic-8dev",
+            "round_par/fedproxvr-logistic-8dev",
+            "paramopt_solve/gamma-1e-2",
+        ] {
+            assert!(ids.contains(&id), "missing ablation entry `{id}`");
+        }
         ids.sort_unstable();
         let before = ids.len();
         ids.dedup();

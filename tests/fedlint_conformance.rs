@@ -1,49 +1,12 @@
-//! Tier-1 conformance gate: the workspace sources must satisfy every
-//! fedlint rule (R1–R5). Violations fail this test with the same
-//! `rule-id: file:line: message` lines the `fedlint` binary prints, so
-//! a red run tells you exactly what to fix (or to justify with a
-//! `// fedlint: allow(<rule>) — reason` annotation).
-//!
-//! A second test runs the full AST/call-graph engine (D/P/F rules) and
-//! gates it against the committed `LINT_BASELINE.json` — the same check
-//! `ci.sh` runs via `fedlint check --gate`.
+//! Tier-1 conformance gate: the full fedlint engine — the line-local
+//! R1–R6 rules plus the AST/call-graph D/P/F rules — must stay within
+//! the committed `LINT_BASELINE.json`, the same check `ci.sh` runs via
+//! `fedlint check --gate`. The baseline budgets every line-local rule at
+//! zero violations, a malformed annotation (an empty reason included)
+//! always breaches, and the allowed counts are pinned exactly.
 
 use fedprox_conformance::engine::{self, Baseline};
-use fedprox_conformance::check_workspace;
 use std::path::Path;
-
-#[test]
-fn workspace_is_fedlint_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let report = check_workspace(root).expect("walk workspace sources");
-    let mut lines = String::new();
-    for v in report.bad_annotations.iter().chain(&report.violations) {
-        lines.push_str(&format!("{v}\n"));
-    }
-    assert!(
-        report.is_clean(),
-        "fedlint found {} violation(s) and {} malformed annotation(s):\n{lines}",
-        report.violations.len(),
-        report.bad_annotations.len()
-    );
-    // The escape hatch must stay an exception, not the norm: every
-    // allowance carries a written justification, and the count is pinned
-    // so silently accumulating new ones needs a conscious bump here.
-    assert!(
-        report.allowed.len() <= 16,
-        "annotated allowances grew to {} — review whether the new sites \
-         really cannot propagate errors",
-        report.allowed.len()
-    );
-    for site in &report.allowed {
-        assert!(
-            !site.reason.trim().is_empty(),
-            "empty allow reason at {}:{}",
-            site.file,
-            site.line
-        );
-    }
-}
 
 #[test]
 fn workspace_passes_the_committed_lint_baseline() {

@@ -61,6 +61,43 @@ fn message_drops_do_not_change_the_trajectory() {
 }
 
 #[test]
+fn history_bytes_count_each_rounds_own_traffic() {
+    let (devices, test) = federation(1);
+    let model = MultinomialLogistic::new(60, 10);
+    let net = NetOptions { drop_prob: 0.4, seed: 3, ..Default::default() };
+    let runner = RunnerKind::Network(NetRunnerOptions { net: net.clone(), ..Default::default() });
+    let h = FederatedTrainer::new(&model, &devices, &test, cfg(runner)).run().expect("run");
+    // Link draws come from per-(round, device) streams and see only frame
+    // sizes, so echo workers sending a model of the same size over the
+    // same links pay exactly the trainer's traffic, round by round: the
+    // clock total after `r` rounds is the trainer's traffic up to `r`.
+    let dim = fedprox::models::LossModel::init_params(&model, 0).len();
+    let mut retransmissions = 0;
+    let mut clock_totals = vec![0u64];
+    for rounds in 1..=5 {
+        let workers: Vec<_> = (0..devices.len())
+            .map(|_| {
+                FnWorker(|_: u32, global: &[f64]| DeviceReply {
+                    params: global.to_vec(),
+                    weight: 1.0 / 3.0,
+                    grad_evals: 1,
+                    compute_time: 0.01,
+                })
+            })
+            .collect();
+        let wire =
+            NetworkRuntime.run(workers, vec![0.0; dim], rounds, &net, |_, _| true).expect("run");
+        retransmissions = wire.retransmissions;
+        clock_totals.push(wire.clock.bytes_up() + wire.clock.bytes_down());
+    }
+    assert!(retransmissions > 0, "drops at p=0.4 must retransmit");
+    // Records are cumulative: each grows by its own round's traffic, and
+    // the last one holds the clock total.
+    let bytes: Vec<u64> = h.records.iter().map(|r| r.bytes).collect();
+    assert_eq!(bytes, clock_totals);
+}
+
+#[test]
 fn straggler_slows_time_not_accuracy() {
     let (devices, test) = federation(2);
     let model = MultinomialLogistic::new(60, 10);
