@@ -3,9 +3,9 @@
 # armed / bench --obs stream armed) → clippy → fedlint →
 # fedobs-summary smoke → perf-smoke → kernel-diff → specs-golden →
 # health-smoke → fedresil-smoke → prof-smoke → fedobs-smoke →
-# fedsim-smoke. Every run is `fedrun` on a committed spec under
-# `specs/`; every smoke stage writes one `--obs` file per run and reads
-# it with `fedobs`. Any failing stage fails the run.
+# fedsim-smoke → examples. Every smoke run is `fedrun` on a committed
+# spec under `specs/`; every smoke stage writes one `--obs` file per run
+# and reads it with `fedobs`. Any failing stage fails the run.
 set -eu
 
 echo "==> cargo build --release"
@@ -205,5 +205,19 @@ grep -q '"expect": {"crashed": 1, "sampled": 32, "max_round_alloc_mib": 64}' spe
     | grep -q "^identical" \
     || { echo "fedsim-smoke: same-seed sampled-run ledgers differ"; exit 1; }
 ./target/release/fedobs critpath "$PERF_TMP/sim_a.jsonl" >/dev/null
+
+# examples: every example under examples/ runs in --release and must
+# exit 0; quickstart runs once more with the instrumentation compiled
+# in, and its --obs file must read back through `fedobs summary`.
+# Reuses the fedobs build and the perf-smoke tmp dir.
+echo "==> examples (every example in --release; armed quickstart -> fedobs summary)"
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    cargo run -q --release --example "$name" >/dev/null \
+        || { echo "examples: $name exited nonzero"; exit 1; }
+done
+cargo run -q --release --features telemetry --example quickstart -- \
+    --obs "$PERF_TMP/q.jsonl" >/dev/null
+./target/release/fedobs summary "$PERF_TMP/q.jsonl" >/dev/null
 
 echo "CI green."

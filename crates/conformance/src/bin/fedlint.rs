@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! fedlint report [--root DIR] [--json PATH] [--all]
-//!     Run the full v2 engine (R1–R6 + D/P/F rules) and print findings;
+//!     Run the full v2 engine (R1–R6, D/P/F, dead-pub) and print findings;
 //!     --json writes the fedlint/v1 report document. Exit 0 regardless
 //!     of findings (informational; gate with `check`).
 //!

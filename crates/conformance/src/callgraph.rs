@@ -13,13 +13,20 @@
 //!   in the caller's crate plus `pub`/trait-callable impls elsewhere —
 //!   conservative over-approximation, trimmed by a deny list of
 //!   ubiquitous std method names so `.clone()` does not connect the
-//!   world.
+//!   world;
+//! * path references without call parens (`map(Device::samples)`)
+//!   resolve like the qualified call they stand for.
+//!
+//! A qualifier names a type, an inline module or a file module
+//! (`codec::encode` lands in `codec.rs`).
 //!
 //! The graph is an over-approximation by construction: an edge means "a
 //! call with this shape could land here", which is the right direction
 //! for reachability lints (false edges can only make the analysis more
-//! cautious, never blind). Known misses — function references passed
-//! without call parens (`map(Device::samples)`) and calls through
+//! cautious, never blind). Method edges through the deny list and the
+//! fan-out cap are kept apart in [`CallGraph::loose`]: too noisy for a
+//! panic chain, but a liveness question must follow them. Known misses
+//! — bare fn names passed as values (`map(helper)`) and calls through
 //! generic parameters (`M::dim()`) — are documented limitations.
 
 use crate::lexer::ScannedFile;
@@ -29,12 +36,14 @@ use std::collections::BTreeMap;
 /// One analyzed source file with everything the graph and rules need.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
-    /// Crate directory name under `crates/` (e.g. `core`).
+    /// Crate directory name under `crates/` (e.g. `core`); empty for
+    /// root files outside `crates/*/src`.
     pub crate_name: String,
     /// Workspace-relative display path.
     pub display: String,
-    /// Whether the file lives under `src/bin/` (excluded from the graph
-    /// and from public-entry reasoning).
+    /// Whether the file is outside every library: under `src/bin/`, or
+    /// a root file (integration test, example, benchmark). Such files
+    /// add no graph nodes; their calls land in [`CallGraph::rooted`].
     pub is_bin: bool,
     /// Original text.
     pub source: String,
@@ -78,6 +87,14 @@ pub struct CallGraph {
     pub nodes: Vec<Node>,
     /// Caller → callee adjacency (sorted, deduped).
     pub edges: Vec<Vec<usize>>,
+    /// Method edges that the deny list or the fan-out cap keep out of
+    /// `edges` (sorted, deduped).
+    pub loose: Vec<Vec<usize>>,
+    /// Nodes called from code outside every library fn body: the root
+    /// files passed to [`build`], `src/bin/` files, and module-scope
+    /// library code (`macro_rules!` bodies, `static`/`const`/
+    /// `thread_local!` initializers). Sorted, deduped.
+    pub rooted: Vec<usize>,
     /// (file index, fn index) → node id.
     by_fn: BTreeMap<(usize, usize), usize>,
 }
@@ -110,7 +127,8 @@ const CALL_KEYWORDS: &[&str] = &[
 /// A call site extracted from one masked line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Call {
-    /// `a::b::name(...)` or bare `name(...)` — path segments in order.
+    /// `a::b::name(...)`, bare `name(...)`, or a path reference
+    /// `a::name` without parens — path segments in order.
     Free(Vec<String>),
     /// `.name(...)`.
     Method(String),
@@ -164,14 +182,26 @@ pub fn calls_on_line(line: &str) -> Vec<Call> {
                 j += 1;
             }
         }
-        if chars.get(j) != Some(&'(') {
+        let called = chars.get(j) == Some(&'(');
+        let qualified = start >= 2 && chars[start - 1] == ':' && chars[start - 2] == ':';
+        // Without parens only the last segment of a path is a reference
+        // (`map(Device::samples)`); `a::b::` continues the path and
+        // `a::mac!` is a macro.
+        if !called
+            && (!qualified || matches!(chars.get(j), Some(':' | '!')))
+        {
             continue;
         }
         // Macro invocations (`name!(`) never have `(` directly after the
         // ident, so they are already excluded here.
-        let prev = chars[..start].iter().rev().find(|c| **c != ' ').copied();
-        if prev == Some('.') {
+        let before: String = chars[..start].iter().collect();
+        let before = before.trim_end();
+        if before.ends_with('.') {
             out.push(Call::Method(name));
+            continue;
+        }
+        // `fn name(` declares the fn; it does not call it.
+        if before.strip_suffix("fn").is_some_and(|b| !b.ends_with(is_ident_char)) {
             continue;
         }
         // Walk the path backwards through `::` separators.
@@ -202,9 +232,16 @@ pub fn calls_on_line(line: &str) -> Vec<Call> {
 }
 
 /// Build the graph. `pkg_idents` maps a crate's path identifier
-/// (`fedprox_net`) to its directory name (`net`); files under `src/bin/`
-/// and `#[cfg(test)]` fns are excluded.
-pub fn build(files: &[SourceFile], pkg_idents: &BTreeMap<String, String>) -> CallGraph {
+/// (`fedprox_net`) to its directory name (`net`); `#[cfg(test)]` fns
+/// are excluded. Files under `src/bin/` and the `roots` files
+/// (integration tests, examples, benchmark sources) add no nodes: every
+/// call in them lands in [`CallGraph::rooted`], as does every call in
+/// module-scope library code.
+pub fn build(
+    files: &[SourceFile],
+    roots: &[SourceFile],
+    pkg_idents: &BTreeMap<String, String>,
+) -> CallGraph {
     let mut nodes = Vec::new();
     let mut by_fn = BTreeMap::new();
     for (fi, file) in files.iter().enumerate() {
@@ -243,16 +280,36 @@ pub fn build(files: &[SourceFile], pkg_idents: &BTreeMap<String, String>) -> Cal
             free_idx.entry(key).or_default().push(id);
         }
     }
+    let mut crates: Vec<&str> = nodes.iter().map(|n| n.crate_name.as_str()).collect();
+    crates.sort_unstable();
+    crates.dedup();
+    let file_modules: Vec<Option<String>> = files.iter().map(|f| file_module(&f.display)).collect();
+    let resolver = Resolver {
+        files,
+        nodes: &nodes,
+        free_idx,
+        typed_idx,
+        method_idx,
+        crates,
+        file_modules,
+        pkg_idents,
+    };
 
     let mut edges: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+    let mut loose: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
     for caller in 0..nodes.len() {
         let node = &nodes[caller];
         let file = &files[node.file];
         let item = &file.parsed.fns[node.fn_idx];
         let Some((body_start, body_end)) = item.body else { continue };
         let use_map = use_imports(&file.parsed, pkg_idents);
+        let from = Caller {
+            crate_name: Some(&node.crate_name),
+            impl_type: item.impl_type.as_deref(),
+            use_map: &use_map,
+        };
         let masked = file.scanned.masked_lines();
-        let mut out: Vec<usize> = Vec::new();
+        let (mut out, mut wide) = (Vec::new(), Vec::new());
         for line_no in body_start..=body_end {
             let Some(line) = masked.get(line_no - 1) else { continue };
             // The first body line still carries the signature up to the
@@ -264,18 +321,71 @@ pub fn build(files: &[SourceFile], pkg_idents: &BTreeMap<String, String>) -> Cal
                 line
             };
             for call in calls_on_line(line) {
-                resolve(
-                    &call, node, item, files, &nodes, &free_idx, &typed_idx, &method_idx,
-                    &use_map, pkg_idents, &mut out,
-                );
+                resolver.resolve(&call, &from, &mut out, &mut wide);
             }
         }
-        out.sort_unstable();
-        out.dedup();
-        edges[caller] = out;
+        edges[caller] = sorted(out);
+        loose[caller] = sorted(wide);
     }
 
-    CallGraph { nodes, edges, by_fn }
+    // Root code: whole root and bin files (resolved as outside callers),
+    // and the lines of each library file outside every fn item.
+    let (mut rooted, mut wide) = (Vec::new(), Vec::new());
+    for file in files.iter().chain(roots) {
+        let library = !file.is_bin;
+        let use_map = use_imports(&file.parsed, pkg_idents);
+        let from = Caller {
+            crate_name: library.then_some(file.crate_name.as_str()),
+            impl_type: None,
+            use_map: &use_map,
+        };
+        let masked = file.scanned.masked_lines();
+        let mut skip = crate::test_item_lines(&masked);
+        for u in &file.parsed.uses {
+            // A `use` item imports or re-exports; it calls nothing.
+            let end = (u.line - 1..masked.len())
+                .find(|&i| masked.get(i).is_some_and(|l| l.contains(';')))
+                .unwrap_or(u.line - 1);
+            for flag in skip.iter_mut().take(end + 1).skip(u.line - 1) {
+                *flag = true;
+            }
+        }
+        if library {
+            for f in &file.parsed.fns {
+                let end = f.body.map_or(f.line, |(_, b)| b);
+                for flag in skip.iter_mut().take(end).skip(f.line - 1) {
+                    *flag = true;
+                }
+            }
+        }
+        for (line, _) in masked.iter().zip(&skip).filter(|(_, s)| !**s) {
+            for call in calls_on_line(line) {
+                resolver.resolve(&call, &from, &mut rooted, &mut wide);
+            }
+        }
+    }
+    rooted.extend(wide);
+    let rooted = sorted(rooted);
+
+    CallGraph { nodes, edges, loose, rooted, by_fn }
+}
+
+fn sorted(mut ids: Vec<usize>) -> Vec<usize> {
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+/// The module a file defines: its stem, or its directory for `mod.rs`;
+/// `None` for crate roots (`lib.rs`, `main.rs`).
+fn file_module(display: &str) -> Option<String> {
+    let path = std::path::Path::new(display);
+    let stem = path.file_stem()?.to_str()?;
+    match stem {
+        "lib" | "main" => None,
+        "mod" => Some(path.parent()?.file_name()?.to_str()?.to_string()),
+        _ => Some(stem.to_string()),
+    }
 }
 
 /// Map every name a file imports from a workspace crate to that crate's
@@ -309,112 +419,163 @@ fn use_imports(parsed: &ParsedFile, pkg_idents: &BTreeMap<String, String>) -> BT
 /// count an edge fan-out says more about the name than the call.
 const METHOD_FANOUT_CAP: usize = 12;
 
-#[allow(clippy::too_many_arguments)]
-fn resolve(
-    call: &Call,
-    caller: &Node,
-    caller_item: &FnItem,
-    files: &[SourceFile],
-    nodes: &[Node],
-    free_idx: &BTreeMap<(&str, &str), Vec<usize>>,
-    typed_idx: &BTreeMap<(&str, &str), Vec<usize>>,
-    method_idx: &BTreeMap<&str, Vec<usize>>,
-    use_map: &BTreeMap<String, String>,
-    pkg_idents: &BTreeMap<String, String>,
-    out: &mut Vec<usize>,
-) {
-    match call {
-        Call::Method(name) => {
-            if METHOD_DENY.contains(&name.as_str()) {
-                return;
+/// Where a call is made from.
+struct Caller<'a> {
+    /// The calling library crate; `None` outside every library (bins,
+    /// tests, examples, benchmarks), where only `pub` items are in reach
+    /// and any crate may be the target.
+    crate_name: Option<&'a str>,
+    /// The caller's `impl` self type, for `Self::name(…)`.
+    impl_type: Option<&'a str>,
+    /// The caller's file's imports from workspace crates.
+    use_map: &'a BTreeMap<String, String>,
+}
+
+/// Name indices over the graph's nodes.
+struct Resolver<'a> {
+    files: &'a [SourceFile],
+    nodes: &'a [Node],
+    free_idx: BTreeMap<(&'a str, &'a str), Vec<usize>>,
+    typed_idx: BTreeMap<(&'a str, &'a str), Vec<usize>>,
+    method_idx: BTreeMap<&'a str, Vec<usize>>,
+    crates: Vec<&'a str>,
+    file_modules: Vec<Option<String>>,
+    pkg_idents: &'a BTreeMap<String, String>,
+}
+
+impl Resolver<'_> {
+    fn item(&self, id: usize) -> &FnItem {
+        let n = &self.nodes[id];
+        &self.files[n.file].parsed.fns[n.fn_idx]
+    }
+
+    /// The innermost module of a free fn: its inline module, else its
+    /// file module.
+    fn module_of(&self, id: usize) -> Option<&str> {
+        let item = self.item(id);
+        item.module
+            .last()
+            .or(self.file_modules[self.nodes[id].file].as_ref())
+            .map(String::as_str)
+    }
+
+    /// Push the nodes `call` may land in onto `out`; method calls
+    /// through the deny list or past the fan-out cap go to `loose`.
+    fn resolve(
+        &self,
+        call: &Call,
+        from: &Caller<'_>,
+        out: &mut Vec<usize>,
+        loose: &mut Vec<usize>,
+    ) {
+        match call {
+            Call::Method(name) => {
+                let Some(candidates) = self.method_idx.get(name.as_str()) else { return };
+                let noisy = METHOD_DENY.contains(&name.as_str())
+                    || candidates.len() > METHOD_FANOUT_CAP;
+                let sink = if noisy { loose } else { out };
+                for &id in candidates {
+                    let n = &self.nodes[id];
+                    let same_crate = from.crate_name == Some(n.crate_name.as_str());
+                    if same_crate || n.public || n.trait_callable {
+                        sink.push(id);
+                    }
+                }
             }
-            let Some(candidates) = method_idx.get(name.as_str()) else { return };
-            if candidates.len() > METHOD_FANOUT_CAP {
-                return;
+            Call::Free(segments) => match from.crate_name {
+                Some(caller_crate) => self.resolve_inside(segments, caller_crate, from, out),
+                None => self.resolve_outside(segments, out),
+            },
+        }
+    }
+
+    /// A path call from library code: resolved through the caller's
+    /// crate, its `use` imports and workspace package names.
+    fn resolve_inside(
+        &self,
+        segments: &[String],
+        caller_crate: &str,
+        from: &Caller<'_>,
+        out: &mut Vec<usize>,
+    ) {
+        let mut segs: Vec<&str> = segments.iter().map(String::as_str).collect();
+        let mut target_crate = caller_crate;
+        let mut cross = false;
+        if segs.len() > 1 {
+            if let Some(dir) = self.pkg_idents.get(segs[0]) {
+                target_crate = dir;
+                cross = dir != caller_crate;
+                segs.remove(0);
+            } else if segs[0] == "crate" || segs[0] == "self" || segs[0] == "super" {
+                segs.remove(0);
+            } else if let Some(dir) = from.use_map.get(segs[0]) {
+                target_crate = dir;
+                cross = dir != caller_crate;
             }
-            for &id in candidates {
-                let n = &nodes[id];
-                if n.crate_name == caller.crate_name || n.public || n.trait_callable {
-                    out.push(id);
+        }
+        let Some(&name) = segs.last() else { return };
+        let qualifier = if segs.len() >= 2 { Some(segs[segs.len() - 2]) } else { None };
+        let typed = self.typed_idx.get(&(target_crate, name)).into_iter().flatten();
+        let free = self.free_idx.get(&(target_crate, name)).into_iter().flatten();
+        match qualifier {
+            Some("Self") => {
+                out.extend(
+                    typed.filter(|&&id| self.item(id).impl_type.as_deref() == from.impl_type),
+                );
+            }
+            Some(q) => {
+                // `Type::name(…)` or `module::name(…)`.
+                out.extend(typed.filter(|&&id| {
+                    let n = &self.nodes[id];
+                    self.item(id).impl_type.as_deref() == Some(q)
+                        && (!cross || n.public || n.trait_callable)
+                }));
+                out.extend(free.filter(|&&id| {
+                    self.module_of(id) == Some(q) && (!cross || self.nodes[id].public)
+                }));
+            }
+            None => {
+                let before = out.len();
+                out.extend(free.filter(|&&id| !cross || self.nodes[id].public));
+                if out.len() == before && !cross {
+                    // A bare imported name: `use fedprox_net::transfer;
+                    // … transfer(…)`.
+                    if let Some(dir) = from.use_map.get(name) {
+                        if let Some(ids) = self.free_idx.get(&(dir.as_str(), name)) {
+                            out.extend(ids.iter().filter(|&&id| self.nodes[id].public));
+                        }
+                    }
                 }
             }
         }
-        Call::Free(segments) => {
-            let mut segs: Vec<&str> = segments.iter().map(String::as_str).collect();
-            let mut target_crate = caller.crate_name.as_str();
-            let mut cross = false;
-            if segs.len() > 1 {
-                if let Some(dir) = pkg_idents.get(segs[0]) {
-                    target_crate = dir;
-                    cross = *dir != caller.crate_name;
-                    segs.remove(0);
-                } else if segs[0] == "crate" || segs[0] == "self" || segs[0] == "super" {
-                    segs.remove(0);
-                } else if let Some(dir) = use_map.get(segs[0]) {
-                    target_crate = dir;
-                    cross = *dir != caller.crate_name;
-                }
+    }
+
+    /// A path call from outside every library: any crate's `pub` fn
+    /// with that name and qualifier (a type, a module, or the crate
+    /// itself), narrowed to one crate when the path names its package.
+    fn resolve_outside(&self, segments: &[String], out: &mut Vec<usize>) {
+        let mut segs: Vec<&str> = segments.iter().map(String::as_str).collect();
+        let mut crates = self.crates.clone();
+        if segs.len() > 1 {
+            if let Some(dir) = self.pkg_idents.get(segs[0]) {
+                crates = vec![dir.as_str()];
+                segs.remove(0);
             }
-            let Some(&name) = segs.last() else { return };
-            let qualifier = if segs.len() >= 2 { Some(segs[segs.len() - 2]) } else { None };
-            match qualifier {
-                Some("Self") => {
-                    if let Some(ids) = typed_idx.get(&(caller.crate_name.as_str(), name)) {
-                        for &id in ids {
-                            let n = &nodes[id];
-                            let it = &files[n.file].parsed.fns[n.fn_idx];
-                            if it.impl_type == caller_item.impl_type {
-                                out.push(id);
-                            }
-                        }
-                    }
-                }
-                Some(q) => {
-                    // `Type::name(…)` or `module::name(…)`.
-                    if let Some(ids) = typed_idx.get(&(target_crate, name)) {
-                        for &id in ids {
-                            let n = &nodes[id];
-                            let it = &files[n.file].parsed.fns[n.fn_idx];
-                            if it.impl_type.as_deref() == Some(q) && (!cross || n.public || n.trait_callable)
-                            {
-                                out.push(id);
-                            }
-                        }
-                    }
-                    if let Some(ids) = free_idx.get(&(target_crate, name)) {
-                        for &id in ids {
-                            let n = &nodes[id];
-                            let it = &files[n.file].parsed.fns[n.fn_idx];
-                            if it.module.last().is_some_and(|m| m == q) && (!cross || n.public) {
-                                out.push(id);
-                            }
-                        }
-                    }
-                }
-                None => {
-                    let mut found = false;
-                    if let Some(ids) = free_idx.get(&(target_crate, name)) {
-                        for &id in ids {
-                            if !cross || nodes[id].public {
-                                out.push(id);
-                                found = true;
-                            }
-                        }
-                    }
-                    if !found && !cross {
-                        // A bare imported name: `use fedprox_net::transfer;
-                        // … transfer(…)`.
-                        if let Some(dir) = use_map.get(name) {
-                            if let Some(ids) = free_idx.get(&(dir.as_str(), name)) {
-                                for &id in ids {
-                                    if nodes[id].public {
-                                        out.push(id);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+        }
+        let Some(&name) = segs.last() else { return };
+        let qualifier = if segs.len() >= 2 { Some(segs[segs.len() - 2]) } else { None };
+        for krate in crates {
+            if let (Some(q), Some(ids)) = (qualifier, self.typed_idx.get(&(krate, name))) {
+                out.extend(ids.iter().filter(|&&id| {
+                    let n = &self.nodes[id];
+                    self.item(id).impl_type.as_deref() == Some(q) && (n.public || n.trait_callable)
+                }));
+            }
+            if let Some(ids) = self.free_idx.get(&(krate, name)) {
+                out.extend(ids.iter().filter(|&&id| {
+                    self.nodes[id].public
+                        && qualifier.is_none_or(|q| q == krate || self.module_of(id) == Some(q))
+                }));
             }
         }
     }
@@ -448,6 +609,20 @@ impl CallGraph {
             }
         }
         Reachability { dist, parent }
+    }
+
+    /// Which nodes `entries` reach along `edges` and `loose` edges both.
+    pub fn liveness(&self, entries: &[usize]) -> Vec<bool> {
+        let mut live = vec![false; self.nodes.len()];
+        let mut stack: Vec<usize> = entries.to_vec();
+        while let Some(u) = stack.pop() {
+            if live.get(u).copied().unwrap_or(true) {
+                continue;
+            }
+            live[u] = true;
+            stack.extend(self.edges[u].iter().chain(&self.loose[u]));
+        }
+        live
     }
 
     /// The shortest entry→node call chain as qualified names.
@@ -531,7 +706,7 @@ fn step_two() {}
 fn orphan() {}
 ",
         )];
-        let g = build(&files, &idents());
+        let g = build(&files, &[], &idents());
         assert_eq!(g.nodes.len(), 4);
         let entry = g.node_for(0, 0).expect("entry node");
         let two = g.node_for(0, 2).expect("step_two node");
@@ -567,7 +742,7 @@ fn hidden() {}
 ",
             ),
         ];
-        let g = build(&files, &idents());
+        let g = build(&files, &[], &idents());
         let caller = g.node_for(0, 0).expect("caller");
         let exported = g.node_for(1, 0).expect("exported");
         let also = g.node_for(1, 1).expect("also_exported");
@@ -594,7 +769,7 @@ pub fn drive(w: &mut Worker) {
 }
 ",
         )];
-        let g = build(&files, &idents());
+        let g = build(&files, &[], &idents());
         let drive = g.node_for(0, 2).expect("drive");
         let update = g.node_for(0, 0).expect("update");
         let commit = g.node_for(0, 1).expect("commit");
@@ -602,6 +777,76 @@ pub fn drive(w: &mut Worker) {
         assert!(g.edges[update].contains(&commit));
         // `.clone()` is denied: no edge beyond update.
         assert_eq!(g.edges[drive], vec![update]);
+    }
+
+    #[test]
+    fn path_references_without_parens_are_edges() {
+        let calls = calls_on_line("let n: usize = devs.iter().map(Device::samples).sum();");
+        assert!(calls.contains(&Call::Free(vec!["Device".to_string(), "samples".to_string()])));
+        // A path that continues, a macro path, a bare name and a
+        // declaration are not references.
+        assert!(calls_on_line("use a::b::{c, d};").is_empty());
+        assert!(calls_on_line("fedprox_telemetry::span!(x);").is_empty());
+        assert!(calls_on_line("let f = helper;").is_empty());
+        assert!(calls_on_line("pub fn samples(&self) -> usize {").is_empty());
+
+        let files = vec![
+            file(
+                "alpha",
+                "crates/alpha/src/lib.rs",
+                "\
+pub struct Device;
+impl Device {
+    pub fn samples(&self) -> usize { 1 }
+}
+pub fn total(devs: &[Device]) -> usize {
+    devs.iter().map(Device::samples).sum()
+}
+pub fn send() {
+    codec::encode();
+}
+",
+            ),
+            file("alpha", "crates/alpha/src/codec.rs", "pub fn encode() {}\n"),
+        ];
+        let g = build(&files, &[], &idents());
+        let samples = g.node_for(0, 0).expect("samples");
+        let total = g.node_for(0, 1).expect("total");
+        let send = g.node_for(0, 2).expect("send");
+        let encode = g.node_for(1, 0).expect("encode");
+        assert_eq!(g.edges[total], vec![samples]);
+        // `codec::` names the file module `codec.rs`.
+        assert_eq!(g.edges[send], vec![encode]);
+    }
+
+    #[test]
+    fn root_files_and_module_scope_calls_are_rooted() {
+        let lib = file(
+            "alpha",
+            "crates/alpha/src/lib.rs",
+            "\
+pub fn hook() {}
+pub fn used() {}
+pub struct W;
+impl W {
+    pub fn len(&self) -> usize { 0 }
+}
+pub fn dead() {}
+macro_rules! fire {
+    () => { $crate::hook() };
+}
+#[cfg(test)]
+mod tests {
+    fn t() { super::dead(); }
+}
+",
+        );
+        let mut root = file("", "tests/it.rs", "fn t(v: &W) { fedprox_alpha::used(); v.len(); }\n");
+        root.is_bin = true;
+        let g = build(&[lib], &[root], &idents());
+        let [hook, used, len, dead] = [0, 1, 2, 3].map(|i| g.node_for(0, i).expect("node"));
+        assert_eq!(g.rooted, vec![hook, used, len]);
+        assert!(!g.rooted.contains(&dead));
     }
 
     #[test]
@@ -617,7 +862,7 @@ mod tests {
 }
 ",
         )];
-        let g = build(&files, &idents());
+        let g = build(&files, &[], &idents());
         assert_eq!(g.nodes.len(), 1);
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! Pipeline: lexer (masked text) → [`crate::parser`] (items) →
 //! [`crate::callgraph`] (workspace call graph) → rules. The engine runs
-//! three layers over one walk of `crates/*/src/**.rs`:
+//! four layers over one walk of `crates/*/src/**.rs`, with the
+//! integration tests, examples and `fedbench/src` read as call-graph
+//! roots:
 //!
 //! 1. the line-local R1–R6 rules via [`crate::check_source`] (same
 //!    results as fedlint v1);
@@ -12,7 +14,10 @@
 //!    chain that gets there;
 //! 3. the F family over `Cargo.toml` manifests — feature-gate
 //!    consistency between `cfg(feature = …)` uses, feature definitions,
-//!    and cross-crate forwarding chains.
+//!    and cross-crate forwarding chains;
+//! 4. `dead-pub` — plain-`pub` library fns that no binary, integration
+//!    test, example, `fedbench/src` file, module-scope code or trait
+//!    impl reaches.
 //!
 //! Results serialize to the `fedlint/v1` JSON schema and gate against a
 //! committed baseline (`LINT_BASELINE.json`) of per-rule budgets, so
@@ -311,13 +316,14 @@ pub fn gate(analysis: &Analysis, baseline: &Baseline) -> GateResult {
 /// Analyze a workspace root (a directory with `crates/*/src`).
 pub fn analyze(root: &Path) -> std::io::Result<Analysis> {
     let (files, manifests) = load_workspace(root)?;
+    let roots = load_roots(root)?;
     let pkg_idents: BTreeMap<String, String> = manifests
         .iter()
         .filter_map(|(dir, m)| {
             m.package_name.as_ref().map(|p| (p.replace('-', "_"), dir.clone()))
         })
         .collect();
-    let graph = callgraph::build(&files, &pkg_idents);
+    let graph = callgraph::build(&files, &roots, &pkg_idents);
 
     // Public-API entries: pub or trait-callable fns in strict-crate lib
     // code. Trait impls count because a caller can reach them through
@@ -349,6 +355,7 @@ pub fn analyze(root: &Path) -> std::io::Result<Analysis> {
     clippy_sync_rule(&mut analysis);
     telemetry_gate_rule(&mut analysis);
     event_fixture_sync_rule(&mut analysis);
+    dead_pub_rule(&mut analysis);
 
     analysis
         .findings
@@ -404,6 +411,43 @@ fn load_workspace(root: &Path) -> std::io::Result<LoadedWorkspace> {
         }
     }
     Ok((files, manifests))
+}
+
+/// Load the code outside every library that calls into it: the
+/// integration tests (`tests/*.rs`, `crates/*/tests/*.rs`; files in
+/// their subdirectories are fixtures, not tests), `examples/` and
+/// `fedbench/src/`. Missing directories are skipped.
+fn load_roots(root: &Path) -> std::io::Result<Vec<SourceFile>> {
+    let mut paths = Vec::new();
+    let mut test_dirs = vec![root.join("tests")];
+    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
+        test_dirs.extend(entries.filter_map(|e| e.ok()).map(|e| e.path().join("tests")));
+    }
+    for dir in test_dirs.into_iter().filter(|d| d.is_dir()) {
+        for entry in std::fs::read_dir(dir)? {
+            let path = entry?.path();
+            if path.extension().is_some_and(|e| e == "rs") {
+                paths.push(path);
+            }
+        }
+    }
+    for dir in [root.join("examples"), root.join("fedbench/src")] {
+        if dir.is_dir() {
+            paths.extend(crate::rust_files(&dir)?);
+        }
+    }
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|path| {
+            let source = std::fs::read_to_string(&path)?;
+            let scanned = lexer::scan(&source);
+            let parsed = parser::parse(&source, &scanned);
+            let display = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().into_owned();
+            let crate_name = String::new();
+            Ok(SourceFile { crate_name, display, is_bin: true, source, scanned, parsed })
+        })
+        .collect()
 }
 
 /// Layer 1: the line-local R1–R6 rules, scoped per crate by
@@ -1003,6 +1047,38 @@ fn event_fixture_sync_rule(analysis: &mut Analysis) {
         }
     }
     analysis.findings.extend(findings);
+}
+
+/// Layer 4, `dead-pub`: every plain-`pub` library fn that neither the
+/// root code ([`CallGraph::rooted`]) nor a trait-callable fn reaches,
+/// following loose method edges too. Test-only callers are not nodes,
+/// so a fn only its own `#[cfg(test)]` module calls is flagged.
+fn dead_pub_rule(analysis: &mut Analysis) {
+    let graph = &analysis.graph;
+    let mut entries = graph.rooted.clone();
+    entries.extend((0..graph.nodes.len()).filter(|&id| graph.nodes[id].trait_callable));
+    let live = graph.liveness(&entries);
+    let mut annotations: BTreeMap<usize, Vec<(usize, Rule, String)>> = BTreeMap::new();
+    for (id, node) in graph.nodes.iter().enumerate() {
+        if live[id] || !node.public || node.trait_callable {
+            continue;
+        }
+        let file = &analysis.files[node.file];
+        let line = file.parsed.fns[node.fn_idx].line;
+        let notes = annotations.entry(node.file).or_insert_with(|| annotations_of(file));
+        analysis.findings.push(Finding {
+            rule: Rule::DeadPub,
+            file: file.display.clone(),
+            line,
+            message: format!(
+                "`pub fn {}` is reached by no binary, integration test, example, \
+                 fedbench file, macro body or trait impl; delete it",
+                node.qualified
+            ),
+            chain: Vec::new(),
+            allowed: annotation_for(notes, Rule::DeadPub, line),
+        });
+    }
 }
 
 #[cfg(test)]

@@ -61,14 +61,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The array items, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
 }
 
 /// Escape a string for embedding in JSON output (without quotes).
@@ -273,7 +265,7 @@ mod tests {
         assert_eq!(budget.get("violations").and_then(Value::as_u64), Some(0));
         assert_eq!(budget.get("allowed").and_then(Value::as_u64), Some(4));
         assert_eq!(v.get("ok"), Some(&Value::Bool(true)));
-        assert_eq!(v.get("items").and_then(Value::as_arr).map(<[Value]>::len), Some(3));
+        assert!(matches!(v.get("items"), Some(Value::Arr(items)) if items.len() == 3));
     }
 
     #[test]

@@ -32,11 +32,6 @@ impl ScannedFile {
     pub fn masked_lines(&self) -> Vec<&str> {
         self.masked.lines().collect()
     }
-
-    /// All comments that start on the given 1-indexed line.
-    pub fn comments_on_line(&self, line: usize) -> impl Iterator<Item = &Comment> {
-        self.comments.iter().filter(move |c| c.line == line)
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -100,10 +100,17 @@ pub enum Rule {
     /// round-trip suite exercises exactly the fixture list, so a variant
     /// missing from it ships with an untested serializer/parser pair.
     EventFixtureSync,
+    /// `dead-pub`: a plain-`pub` library fn that no root reaches.
+    /// The roots are the binaries, the integration tests, the examples,
+    /// `fedbench/src`, module-scope code (`macro_rules!` bodies, static
+    /// initializers) and every trait-callable fn. A fn reached only
+    /// from its own `#[cfg(test)]` module is dead. rustc's `dead_code`
+    /// lint already covers private and `pub(crate)` fns.
+    DeadPub,
 }
 
 /// Every rule, in stable report order.
-pub const ALL_RULES: [Rule; 16] = [
+pub const ALL_RULES: [Rule; 17] = [
     Rule::NoPanic,
     Rule::NoAmbientEntropy,
     Rule::NoDebugPrint,
@@ -120,6 +127,7 @@ pub const ALL_RULES: [Rule; 16] = [
     Rule::ClippyAllowSync,
     Rule::TelemetryGate,
     Rule::EventFixtureSync,
+    Rule::DeadPub,
 ];
 
 impl Rule {
@@ -142,6 +150,7 @@ impl Rule {
             Rule::ClippyAllowSync => "clippy-allow-sync",
             Rule::TelemetryGate => "telemetry-gate",
             Rule::EventFixtureSync => "event-fixture-sync",
+            Rule::DeadPub => "dead-pub",
         }
     }
 
@@ -164,7 +173,7 @@ impl RuleSet {
     }
 
     /// Every rule enabled. (The line-local [`check_source`] pass acts
-    /// only on R1–R6; the D/P/F families are evaluated by the
+    /// only on R1–R6; the D/P/F families and `dead-pub` are evaluated by the
     /// [`engine`], which scopes them itself.)
     pub fn all() -> Self {
         RuleSet { rules: [true; ALL_RULES.len()] }

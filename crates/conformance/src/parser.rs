@@ -529,6 +529,13 @@ pub fn parse(source: &str, scanned: &ScannedFile) -> ParsedFile {
             Tok::Close('}') => {
                 scopes.pop();
                 i += 1;
+                clear_pending!();
+            }
+            // A field's or item's end: its `pub` must not leak onto the
+            // next `fn`.
+            Tok::Punct(';' | ',') => {
+                i += 1;
+                clear_pending!();
             }
             Tok::Open(_) => {
                 i = skip_group(&toks, i);

@@ -1,8 +1,12 @@
 //! Fixture tests: known-bad snippets per rule, asserting the exact rule
 //! id and 1-indexed line of every finding, plus the annotation escape
-//! hatch and the string-literal false-positive guard.
+//! hatch and the string-literal false-positive guard. The `dead-pub`
+//! cases run the engine over the mini-workspace in
+//! `tests/fixtures/dead_pub/`.
 
+use fedprox_conformance::engine::{self, Analysis, Baseline};
 use fedprox_conformance::{check_source, Rule, RuleSet};
+use std::path::PathBuf;
 
 fn findings(source: &str, rules: RuleSet) -> Vec<(Rule, usize)> {
     let report = check_source("fixture.rs", source, rules);
@@ -262,4 +266,74 @@ fn f(x: Option<u32>) -> u32 {
 ";
     let report = check_source("fixture.rs", src, RuleSet::none().with(Rule::NoPanic));
     assert!(report.violations.is_empty(), "{:?}", report.violations);
+}
+
+const DEAD_PUB_ROOT: &str = "tests/fixtures/dead_pub";
+const DEAD_PUB_LIB: &str = "crates/alpha/src/lib.rs";
+
+fn dead_pub_analysis() -> Analysis {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(DEAD_PUB_ROOT);
+    engine::analyze(&root).unwrap_or_else(|e| panic!("analyze {DEAD_PUB_ROOT}: {e}"))
+}
+
+/// 1-indexed line of the first fixture-library line containing `needle`.
+fn lib_line(needle: &str) -> usize {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(DEAD_PUB_ROOT).join(DEAD_PUB_LIB);
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+    text.lines()
+        .position(|l| l.contains(needle))
+        .map(|i| i + 1)
+        .unwrap_or_else(|| panic!("`{needle}` not in the fixture library"))
+}
+
+/// The `dead-pub` finding in `file` at `line`, if any.
+fn dead_pub_at<'a>(a: &'a Analysis, file: &str, line: usize) -> Option<&'a engine::Finding> {
+    a.findings.iter().find(|f| f.rule == Rule::DeadPub && f.file == file && f.line == line)
+}
+
+#[test]
+fn dead_pub_spares_every_root_kind() {
+    let a = dead_pub_analysis();
+    for name in [
+        "from_test",     // integration test
+        "from_bin",      // binary
+        "by_reference",  // binary, passed by path without parens
+        "from_bench",    // fedbench/src
+        "from_example",  // example
+        "from_macro",    // macro_rules! body
+        "side",          // trait impl
+    ] {
+        let line = lib_line(&format!("pub fn {name}("));
+        assert!(dead_pub_at(&a, DEAD_PUB_LIB, line).is_none(), "{name} was flagged");
+    }
+    // Called through its file module: `wire::encode()`.
+    assert!(dead_pub_at(&a, "crates/alpha/src/wire.rs", 2).is_none());
+}
+
+#[test]
+fn dead_pub_flags_a_fn_only_its_own_test_module_calls() {
+    let a = dead_pub_analysis();
+    let f = dead_pub_at(&a, DEAD_PUB_LIB, lib_line("pub fn only_tested("))
+        .unwrap_or_else(|| panic!("only_tested must be flagged: {:?}", a.findings));
+    assert!(f.allowed.is_none());
+    assert!(f.message.contains("alpha::only_tested"), "message names the fn: {}", f.message);
+}
+
+#[test]
+fn dead_pub_annotation_allows_and_an_empty_reason_breaches() {
+    let a = dead_pub_analysis();
+    let allowed = dead_pub_at(&a, DEAD_PUB_LIB, lib_line("pub fn annotated("))
+        .unwrap_or_else(|| panic!("the annotated site must still be reported"));
+    assert_eq!(allowed.allowed.as_deref(), Some("called over the C ABI by the host runtime"));
+
+    // The reasonless annotation is malformed: it breaches any baseline,
+    // even one snapshotted from this very analysis, and suppresses nothing.
+    let empty = lib_line("pub fn empty_reason(");
+    assert!(
+        a.bad_annotations.iter().any(|v| v.line == empty - 1),
+        "{:?}",
+        a.bad_annotations
+    );
+    assert!(dead_pub_at(&a, DEAD_PUB_LIB, empty).is_some_and(|f| f.allowed.is_none()));
+    assert!(!engine::gate(&a, &Baseline::from_analysis(&a)).ok());
 }

@@ -568,7 +568,7 @@ mod tests {
             assert_eq!(run(&devices, r), FedError::DeviceIdMismatch { position: 0, id: 1 });
         }
         devices.swap(0, 1);
-        devices[2] = Device::new(2, Dataset::empty(60, 10));
+        devices[2] = Device::new(2, Dataset::new(fedprox_tensor::Matrix::zeros(0, 60), Vec::new(), 10));
         for r in &runners {
             assert_eq!(run(&devices, r), FedError::EmptyShard { device: 2 });
         }

@@ -329,16 +329,6 @@ impl HealthMonitor {
         }
     }
 
-    /// Number of health samples assembled so far.
-    pub fn sample_count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Number of anomalies raised so far.
-    pub fn anomaly_count(&self) -> usize {
-        self.anomalies.len()
-    }
-
     /// Consume the monitor, yielding samples then anomalies (readers
     /// re-sort by round, so the relative order is immaterial).
     pub fn into_events(self) -> Vec<Event> {
@@ -429,8 +419,8 @@ mod tests {
         m.note_round(1, &dirs(4, 3.0, 2.0), &[]);
         m.observe_eval(1, 1.5, 0.8, None);
         m.observe_eval(2, 1.6, 0.9, None);
-        assert_eq!(m.sample_count(), 3);
-        assert_eq!(m.anomaly_count(), 0);
+        assert_eq!(m.samples.len(), 3);
+        assert_eq!(m.anomalies.len(), 0);
         m.set_skews(&[0.25, 0.5]);
         let events = m.into_events();
         match &events[1] {
@@ -464,7 +454,7 @@ mod tests {
         let mut m = HealthMonitor::new(HealthConfig::default());
         m.observe_eval(1, f64::INFINITY, 0.5, None);
         m.observe_eval(2, 1.0, f64::NAN, None);
-        assert_eq!(m.sample_count(), 0);
+        assert_eq!(m.samples.len(), 0);
     }
 
     #[test]
@@ -522,11 +512,11 @@ mod tests {
         m.note_participation(3, 1.0);
         m.note_participation(4, 0.5);
         m.note_participation(5, 0.5);
-        assert_eq!(m.anomaly_count(), 0);
+        assert_eq!(m.anomalies.len(), 0);
         // Third consecutive round below the floor fires, exactly once.
         m.note_participation(6, 0.25);
         m.note_participation(7, 0.25);
-        assert_eq!(m.anomaly_count(), 1);
+        assert_eq!(m.anomalies.len(), 1);
         let events = m.into_events();
         assert_eq!(rule_rounds(&events, AnomalyRule::ParticipationGap), vec![6]);
         match &events[0] {
@@ -545,7 +535,7 @@ mod tests {
         for r in 1..=10 {
             m.note_participation(r, 0.0);
         }
-        assert_eq!(m.anomaly_count(), 0);
+        assert_eq!(m.anomalies.len(), 0);
     }
 
     #[test]

@@ -137,21 +137,6 @@ impl History {
         self.records.last().map(|r| r.train_loss)
     }
 
-    /// The paper's convergence indicator: the running average of the
-    /// stationarity gap, `(1/T) Σ_s ‖∇F̄(w̄^{(s)})‖²` (eq. (12)).
-    pub fn avg_stationarity_gap(&self) -> Option<f64> {
-        if self.records.is_empty() {
-            return None;
-        }
-        Some(self.records.iter().map(|r| r.grad_norm_sq).sum::<f64>() / self.records.len() as f64)
-    }
-
-    /// First evaluated round whose test accuracy reaches `target`
-    /// (the paper's "starts to converge earlier" comparisons).
-    pub fn rounds_to_accuracy(&self, target: f64) -> Option<usize> {
-        self.records.iter().find(|r| r.test_accuracy >= target).map(|r| r.round)
-    }
-
     /// Serialize to pretty JSON.
     pub fn to_json(&self) -> String {
         // History serialization is infallible (plain data, no maps with
@@ -233,10 +218,6 @@ mod tests {
         let h = history();
         assert_eq!(h.best_accuracy(), 0.6);
         assert_eq!(h.final_loss(), Some(0.5));
-        let avg = h.avg_stationarity_gap().unwrap();
-        assert!((avg - (4.0 + 2.0 + 1.0) / 3.0).abs() < 1e-12);
-        assert_eq!(h.rounds_to_accuracy(0.5), Some(2));
-        assert_eq!(h.rounds_to_accuracy(0.99), None);
     }
 
     #[test]
@@ -371,6 +352,5 @@ mod tests {
         h.records.clear();
         assert_eq!(h.best_accuracy(), 0.0);
         assert_eq!(h.final_loss(), None);
-        assert_eq!(h.avg_stationarity_gap(), None);
     }
 }

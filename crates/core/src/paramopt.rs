@@ -97,11 +97,6 @@ pub fn solve(base: &TheoryParams, gamma: f64) -> Option<OptimalParams> {
     })
 }
 
-/// Sweep γ over `gammas` (Fig. 1's x-axis).
-pub fn sweep(base: &TheoryParams, gammas: &[f64]) -> Vec<Option<OptimalParams>> {
-    gammas.iter().map(|&g| solve(base, g)).collect()
-}
-
 /// Log-spaced grid of offsets above `anchor`, from `lo` to `anchor + span`.
 fn log_grid(lo: f64, anchor: f64, span: f64, points: usize) -> Vec<f64> {
     let start = (lo - anchor).max(1e-9).ln();
@@ -246,16 +241,6 @@ mod tests {
             }
         }
         assert!(o.objective <= best_grid * 1.01, "{} vs grid {}", o.objective, best_grid);
-    }
-
-    #[test]
-    fn sweep_matches_individual_solves() {
-        let b = base(1.0);
-        let gs = [1e-3, 1e-2];
-        let s = sweep(&b, &gs);
-        assert_eq!(s.len(), 2);
-        let o0 = solve(&b, 1e-3).unwrap();
-        assert!((s[0].unwrap().objective - o0.objective).abs() < 1e-9);
     }
 
     #[test]

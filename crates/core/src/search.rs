@@ -30,16 +30,6 @@ pub struct SearchSpace {
 }
 
 impl SearchSpace {
-    /// Ranges mirroring the paper's Tables 1–2 entries.
-    pub fn paper_like() -> Self {
-        SearchSpace {
-            taus: vec![10, 20],
-            betas: vec![5.0, 7.0, 9.0, 10.0],
-            mus: vec![0.01, 0.1, 0.5],
-            batches: vec![16, 32, 64],
-            rounds: (100, 200),
-        }
-    }
 }
 
 /// One sampled trial and its outcome.

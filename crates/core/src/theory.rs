@@ -9,9 +9,7 @@
 //! * **eq. (22)** — θ² as a function of (β, μ) once τ is pinned to its
 //!   upper bound,
 //! * **Theorem 1** — the federated factor Θ and the `O(Δ/(ΘT))`
-//!   stationarity bound,
-//! * **Corollary 1** — the global iteration count `T ≥ Δ/(Θ ε)`,
-//! * **eq. (19)** — training time `𝒯 = T (d_com + d_cmp τ)`.
+//!   stationarity bound.
 
 use serde::{Deserialize, Serialize};
 
@@ -32,39 +30,6 @@ impl TheoryParams {
     /// The paper's Fig. 1 constants: L = 1, λ = 0.5.
     pub fn fig1(mu: f64, sigma_bar_sq: f64) -> Self {
         TheoryParams { smoothness: 1.0, lambda: 0.5, mu, sigma_bar_sq }
-    }
-
-    /// Pool heterogeneous per-device constants `(L_n, λ_n)` with weights
-    /// `D_n/D` into the `L̄`, `λ̄` the paper's Section 3 note says may be
-    /// substituted into Theorem 1 (Lemma 1 takes each device's own pair;
-    /// use the *max* for a uniformly valid bound — also returned).
-    ///
-    /// Returns `(weighted-average params, worst-case params)`.
-    pub fn pooled(
-        per_device: &[(f64, f64)],
-        weights: &[f64],
-        mu: f64,
-        sigma_bar_sq: f64,
-    ) -> (Self, Self) {
-        assert_eq!(per_device.len(), weights.len(), "pooled: length mismatch");
-        assert!(!per_device.is_empty(), "pooled: no devices");
-        let wsum: f64 = weights.iter().sum();
-        assert!(wsum > 0.0, "pooled: zero total weight");
-        let mut l_bar = 0.0;
-        let mut lam_bar = 0.0;
-        let mut l_max = 0.0f64;
-        let mut lam_max = 0.0f64;
-        for (&(l, lam), &w) in per_device.iter().zip(weights) {
-            assert!(l > 0.0 && lam >= 0.0 && w >= 0.0, "pooled: invalid constants");
-            l_bar += w * l;
-            lam_bar += w * lam;
-            l_max = l_max.max(l);
-            lam_max = lam_max.max(lam);
-        }
-        (
-            TheoryParams { smoothness: l_bar / wsum, lambda: lam_bar / wsum, mu, sigma_bar_sq },
-            TheoryParams { smoothness: l_max, lambda: lam_max, mu, sigma_bar_sq },
-        )
     }
 
     /// Effective strong convexity μ̃ = μ − λ of the surrogate J_n.
@@ -130,13 +95,6 @@ impl Lemma1 {
             tau -= 1;
         }
         -1.0
-    }
-
-    /// Feasibility check for a concrete (β, τ, θ) triple.
-    pub fn feasible(p: &TheoryParams, beta: f64, tau: usize, theta: f64, svrg: bool) -> bool {
-        let Some(lo) = Self::tau_lower(p, beta, theta) else { return false };
-        let hi = if svrg { Self::tau_upper_svrg(beta) } else { Self::tau_upper_sarah(beta) };
-        (tau as f64) >= lo && (tau as f64) <= hi
     }
 
     /// Solve eq. (15): the smallest β > 3 with
@@ -247,15 +205,6 @@ pub fn theta_max(sigma_bar_sq: f64) -> f64 {
     1.0 / (2.0 * (1.0 + sigma_bar_sq)).sqrt()
 }
 
-/// Corollary 1: global iterations to reach an ε-accurate solution,
-/// `T ≥ Δ(w̄⁰) / (Θ ε)`. Returns `None` when Θ ≤ 0 (no guarantee).
-pub fn global_iterations(delta0: f64, capital_theta: f64, epsilon: f64) -> Option<f64> {
-    if capital_theta <= 0.0 || epsilon <= 0.0 || delta0 < 0.0 {
-        return None;
-    }
-    Some(delta0 / (capital_theta * epsilon))
-}
-
 /// eq. (17): the bound on the averaged stationarity gap after `t` rounds.
 pub fn stationarity_bound(delta0: f64, capital_theta: f64, t: usize) -> Option<f64> {
     if capital_theta <= 0.0 || t == 0 {
@@ -264,33 +213,12 @@ pub fn stationarity_bound(delta0: f64, capital_theta: f64, t: usize) -> Option<f
     Some(delta0 / (capital_theta * t as f64))
 }
 
-/// eq. (19): total training time `𝒯 = T (d_com + d_cmp τ)`.
-pub fn training_time(t: f64, d_com: f64, d_cmp: f64, tau: f64) -> f64 {
-    t * (d_com + d_cmp * tau)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn p(mu: f64) -> TheoryParams {
         TheoryParams::fig1(mu, 1.0)
-    }
-
-    #[test]
-    fn pooled_constants_average_and_worst_case() {
-        let per_device = [(1.0, 0.1), (3.0, 0.5), (2.0, 0.3)];
-        let weights = [0.5, 0.25, 0.25];
-        let (avg, worst) = TheoryParams::pooled(&per_device, &weights, 2.0, 1.0);
-        assert!((avg.smoothness - (0.5 + 0.75 + 0.5)).abs() < 1e-12);
-        assert!((avg.lambda - (0.05 + 0.125 + 0.075)).abs() < 1e-12);
-        assert_eq!(worst.smoothness, 3.0);
-        assert_eq!(worst.lambda, 0.5);
-        // Worst-case bounds are never looser than the average's.
-        assert!(worst.mu_tilde() <= avg.mu_tilde());
-        // Unnormalised weights are normalised.
-        let (avg2, _) = TheoryParams::pooled(&per_device, &[2.0, 1.0, 1.0], 2.0, 1.0);
-        assert!((avg2.smoothness - avg.smoothness).abs() < 1e-12);
     }
 
     #[test]
@@ -386,7 +314,7 @@ mod tests {
         let hi2 = Lemma1::tau_upper_sarah(beta2);
         assert!(lo2 < hi2, "window did not open: [{lo2}, {hi2}]");
         let tau2 = lo2.ceil() as usize;
-        assert!(Lemma1::feasible(&pp, beta2, tau2, theta, false));
+        assert!(tau2 as f64 <= hi2, "τ = {tau2} outside the window");
     }
 
     #[test]
@@ -459,13 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn corollary1_iteration_count() {
-        assert_eq!(global_iterations(2.0, 0.5, 0.1), Some(40.0));
-        assert_eq!(global_iterations(2.0, -0.5, 0.1), None);
-        assert_eq!(global_iterations(2.0, 0.5, 0.0), None);
-    }
-
-    #[test]
     fn stationarity_bound_decays_as_one_over_t() {
         let b10 = stationarity_bound(1.0, 0.2, 10).unwrap();
         let b100 = stationarity_bound(1.0, 0.2, 100).unwrap();
@@ -473,8 +394,4 @@ mod tests {
         assert!(stationarity_bound(1.0, 0.2, 0).is_none());
     }
 
-    #[test]
-    fn training_time_eq19() {
-        assert_eq!(training_time(10.0, 0.5, 0.1, 20.0), 10.0 * (0.5 + 2.0));
-    }
 }

@@ -37,11 +37,6 @@ impl Dataset {
         Dataset { features, labels, num_classes }
     }
 
-    /// An empty dataset with `dim` feature columns.
-    pub fn empty(dim: usize, num_classes: usize) -> Self {
-        Dataset { features: Matrix::zeros(0, dim), labels: Vec::new(), num_classes }
-    }
-
     /// Number of samples.
     #[inline]
     pub fn len(&self) -> usize {
@@ -89,12 +84,6 @@ impl Dataset {
     #[inline]
     pub fn features(&self) -> &Matrix {
         &self.features
-    }
-
-    /// All labels.
-    #[inline]
-    pub fn labels(&self) -> &[f64] {
-        &self.labels
     }
 
     /// Copy the samples at `indices` into a new dataset.
@@ -166,29 +155,10 @@ pub struct FederatedDataset {
 }
 
 impl FederatedDataset {
-    /// Number of devices.
-    pub fn num_devices(&self) -> usize {
-        self.shards.len()
-    }
 
     /// Total number of training samples `D = Σ D_n`.
     pub fn total_samples(&self) -> usize {
         self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    /// Aggregation weights `D_n / D` (Algorithm 1, line 12).
-    pub fn weights(&self) -> Vec<f64> {
-        let total = self.total_samples() as f64;
-        assert!(total > 0.0, "FederatedDataset::weights: empty federation");
-        self.shards.iter().map(|s| s.len() as f64 / total).collect()
-    }
-
-    /// `(min, max)` shard sizes — the paper reports these ranges per
-    /// dataset (e.g. [37, 3277] for Synthetic).
-    pub fn size_range(&self) -> (usize, usize) {
-        let min = self.shards.iter().map(Dataset::len).min().unwrap_or(0);
-        let max = self.shards.iter().map(Dataset::len).max().unwrap_or(0);
-        (min, max)
     }
 }
 
@@ -210,7 +180,6 @@ mod tests {
         assert_eq!(d.x(2), &[1.0, 1.0]);
         assert_eq!(d.class_of(1), 1);
         assert!(!d.is_empty());
-        assert!(Dataset::empty(4, 3).is_empty());
     }
 
     #[test]
@@ -244,7 +213,7 @@ mod tests {
         let c = Dataset::concat(&[&a, &b]);
         assert_eq!(c.len(), 3);
         assert_eq!(c.features(), d.features());
-        assert_eq!(c.labels(), d.labels());
+        assert_eq!(c.labels, d.labels);
     }
 
     #[test]
@@ -254,19 +223,4 @@ mod tests {
         assert_eq!(d.distinct_labels(), vec![0, 1]);
     }
 
-    #[test]
-    fn federation_weights_sum_to_one() {
-        let d = toy();
-        let fed = FederatedDataset {
-            shards: vec![d.subset(&[0]), d.subset(&[1, 2])],
-            test: d.clone(),
-            name: "toy".into(),
-        };
-        assert_eq!(fed.num_devices(), 2);
-        assert_eq!(fed.total_samples(), 3);
-        let w = fed.weights();
-        assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((w[0] - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(fed.size_range(), (1, 2));
-    }
 }

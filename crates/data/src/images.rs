@@ -60,11 +60,6 @@ impl ImageConfig {
     pub fn fashion(seed: u64) -> Self {
         ImageConfig { style: ImageStyle::FashionLike, noise: 0.35, max_shift: 3, clutter: 4, seed }
     }
-    /// A low-noise variant (used by tests that need near-prototype
-    /// samples).
-    pub fn clean(style: ImageStyle, seed: u64) -> Self {
-        ImageConfig { style, noise: 0.1, max_shift: 1, clutter: 0, seed }
-    }
 }
 
 /// Generate `n` labelled images with labels drawn uniformly.
@@ -78,26 +73,6 @@ pub fn generate(cfg: &ImageConfig, n: usize) -> Dataset {
         let class = rng.gen_range(0..CLASSES);
         render_sample(&protos[class], cfg, &mut rng, &noise, feats.row_mut(i));
         labels.push(class as f64);
-    }
-    Dataset::new(feats, labels, CLASSES)
-}
-
-/// Generate exactly `count` images of each requested `(class, count)` pair.
-pub fn generate_per_class(cfg: &ImageConfig, counts: &[(usize, usize)]) -> Dataset {
-    let protos = prototypes(cfg.style);
-    let total: usize = counts.iter().map(|&(_, c)| c).sum();
-    let mut rng = device_rng(cfg.seed, 0x1A6F);
-    let noise = Normal::new(0.0, cfg.noise).expect("noise std");
-    let mut feats = Matrix::zeros(total, SIDE * SIDE);
-    let mut labels = Vec::with_capacity(total);
-    let mut row = 0;
-    for &(class, count) in counts {
-        assert!(class < CLASSES, "class out of range");
-        for _ in 0..count {
-            render_sample(&protos[class], cfg, &mut rng, &noise, feats.row_mut(row));
-            labels.push(class as f64);
-            row += 1;
-        }
     }
     Dataset::new(feats, labels, CLASSES)
 }
@@ -375,7 +350,7 @@ mod tests {
         // Average within-class distance must be below cross-class distance;
         // otherwise the task would be unlearnable.
         let cfg = ImageConfig::mnist(5);
-        let d = generate_per_class(&cfg, &[(0, 20), (1, 20)]);
+        let d = generate(&cfg, 60);
         let mut within = Vec::new();
         let mut across = Vec::new();
         for i in 0..d.len() {
@@ -391,12 +366,4 @@ mod tests {
         assert!(vecops::mean(&within) < vecops::mean(&across));
     }
 
-    #[test]
-    fn per_class_counts_exact() {
-        let d = generate_per_class(&ImageConfig::fashion(6), &[(3, 7), (9, 5)]);
-        let h = d.class_histogram();
-        assert_eq!(h[3], 7);
-        assert_eq!(h[9], 5);
-        assert_eq!(d.len(), 12);
-    }
 }

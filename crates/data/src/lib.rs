@@ -23,7 +23,6 @@ pub mod dataset;
 pub mod idx;
 pub mod images;
 pub mod partition;
-pub mod preprocess;
 pub mod split;
 pub mod stats;
 pub mod synthetic;

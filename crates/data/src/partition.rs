@@ -157,17 +157,6 @@ impl ZipfPopulation {
     pub fn total_samples(&self) -> u64 {
         self.total
     }
-
-    /// Aggregation weight `D_d / D` (the same formula
-    /// `fedprox_core::server::weights_from_sizes` applies densely).
-    pub fn weight_of(&self, device: usize) -> f64 {
-        self.size_of(device) as f64 / self.total as f64
-    }
-
-    /// Materialize the full size vector (small populations only).
-    pub fn sizes(&self) -> Vec<usize> {
-        (0..self.devices).map(|d| self.size_of(d)).collect()
-    }
 }
 
 /// How a [`Partitioner`] assigns samples to devices.
@@ -324,7 +313,7 @@ mod tests {
     fn zipf_population_is_stable_and_order_independent() {
         let pop = ZipfPopulation::new(1000, 40, 400, 1.5, 4.0, 9);
         // O(1) lookups agree with the materialized vector…
-        let sizes = pop.sizes();
+        let sizes: Vec<usize> = (0..1000).map(|d| pop.size_of(d)).collect();
         assert_eq!(sizes.len(), 1000);
         for &d in &[0usize, 999, 41, 500] {
             assert_eq!(pop.size_of(d), sizes[d]);
@@ -332,15 +321,12 @@ mod tests {
         // …are in range, reproducible, and total-consistent.
         assert!(sizes.iter().all(|&s| (40..=400).contains(&s)));
         let pop2 = ZipfPopulation::new(1000, 40, 400, 1.5, 4.0, 9);
-        assert_eq!(pop2.sizes(), sizes);
+        assert!((0..1000).all(|d| pop2.size_of(d) == sizes[d]));
         assert_eq!(pop.total_samples(), sizes.iter().map(|&s| s as u64).sum::<u64>());
         // Power law: median well below the midpoint.
         let mut sorted = sizes;
         sorted.sort_unstable();
         assert!(sorted[500] < (40 + 400) / 2);
-        // Weights sum to 1.
-        let wsum: f64 = (0..1000).map(|d| pop.weight_of(d)).sum();
-        assert!((wsum - 1.0).abs() < 1e-9, "weight sum {wsum}");
     }
 
     #[test]
@@ -356,7 +342,7 @@ mod tests {
         assert!((0..10).all(|d| flat.compute_factor_of(d) == 1.0));
         // The factor draw does not perturb the size draw.
         let sized = ZipfPopulation::new(500, 10, 20, 1.2, 1.0, 3);
-        assert_eq!(sized.sizes(), pop.sizes());
+        assert!((0..500).all(|d| sized.size_of(d) == pop.size_of(d)));
     }
 
     #[test]

@@ -16,11 +16,6 @@ pub fn train_test_split(data: &Dataset, train_frac: f64, seed: u64) -> (Dataset,
     (data.subset(tr), data.subset(te))
 }
 
-/// The paper's split: 75% train, 25% test.
-pub fn paper_split(data: &Dataset, seed: u64) -> (Dataset, Dataset) {
-    train_test_split(data, 0.75, seed)
-}
-
 /// Split every shard of a federation 75/25 and pool the per-shard test
 /// parts into one global test set — mirroring how the paper forms test
 /// data from the same heterogeneous distributions.
@@ -53,7 +48,7 @@ mod tests {
     #[test]
     fn sizes_add_up() {
         let d = toy(100);
-        let (tr, te) = paper_split(&d, 1);
+        let (tr, te) = train_test_split(&d, 0.75, 1);
         assert_eq!(tr.len(), 75);
         assert_eq!(te.len(), 25);
     }

@@ -4,27 +4,9 @@
 //! quantity and is measured in `fedprox-core::eval` where a model is
 //! available; this module provides the data-level proxies used to sanity
 //! check that a generated federation is actually heterogeneous: label
-//! distribution skew, feature-mean dispersion, and size concentration.
+//! distribution skew and size concentration.
 
 use crate::dataset::Dataset;
-use fedprox_tensor::vecops;
-
-/// Summary statistics of a federation's data heterogeneity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HeterogeneityReport {
-    /// Mean total-variation distance between each device's label
-    /// distribution and the global one (0 = identical, →1 = disjoint).
-    pub label_skew_tv: f64,
-    /// Mean Euclidean distance between each device's feature mean and the
-    /// global feature mean.
-    pub feature_mean_dispersion: f64,
-    /// Gini coefficient of the shard sizes (0 = balanced).
-    pub size_gini: f64,
-    /// Smallest shard.
-    pub min_size: usize,
-    /// Largest shard.
-    pub max_size: usize,
-}
 
 /// Compute the label distribution of a dataset as frequencies.
 pub fn label_distribution(d: &Dataset) -> Vec<f64> {
@@ -37,19 +19,6 @@ pub fn label_distribution(d: &Dataset) -> Vec<f64> {
 pub fn tv_distance(p: &[f64], q: &[f64]) -> f64 {
     assert_eq!(p.len(), q.len(), "tv_distance: support mismatch");
     p.iter().zip(q).map(|(a, b)| (a - b).abs()).sum::<f64>() / 2.0
-}
-
-/// Per-feature mean of a dataset.
-pub fn feature_mean(d: &Dataset) -> Vec<f64> {
-    let mut m = vec![0.0; d.dim()];
-    if d.is_empty() {
-        return m;
-    }
-    for i in 0..d.len() {
-        vecops::add_assign(&mut m, d.x(i));
-    }
-    vecops::scale(1.0 / d.len() as f64, &mut m);
-    m
 }
 
 /// Gini coefficient of non-negative values (0 for empty input).
@@ -66,36 +35,6 @@ pub fn gini(values: &[usize]) -> f64 {
     }
     let weighted: f64 = v.iter().enumerate().map(|(i, x)| (i as f64 + 1.0) * x).sum();
     (2.0 * weighted) / (n * sum) - (n + 1.0) / n
-}
-
-/// Full heterogeneity report over shards.
-pub fn heterogeneity_report(shards: &[Dataset]) -> HeterogeneityReport {
-    assert!(!shards.is_empty(), "heterogeneity_report: no shards");
-    let refs: Vec<&Dataset> = shards.iter().collect();
-    let global = Dataset::concat(&refs);
-    let global_labels = label_distribution(&global);
-    let global_mean = feature_mean(&global);
-
-    let label_skew_tv = vecops::mean(
-        &shards
-            .iter()
-            .map(|s| tv_distance(&label_distribution(s), &global_labels))
-            .collect::<Vec<_>>(),
-    );
-    let feature_mean_dispersion = vecops::mean(
-        &shards
-            .iter()
-            .map(|s| vecops::dist(&feature_mean(s), &global_mean))
-            .collect::<Vec<_>>(),
-    );
-    let sizes: Vec<usize> = shards.iter().map(Dataset::len).collect();
-    HeterogeneityReport {
-        label_skew_tv,
-        feature_mean_dispersion,
-        size_gini: gini(&sizes),
-        min_size: sizes.iter().copied().min().unwrap_or(0),
-        max_size: sizes.iter().copied().max().unwrap_or(0),
-    }
 }
 
 #[cfg(test)]
@@ -142,36 +81,13 @@ mod tests {
             3,
         )
         .partition(&data);
-        let r_iid = heterogeneity_report(&iid);
-        let r_sh = heterogeneity_report(&sharded);
-        assert!(
-            r_sh.label_skew_tv > r_iid.label_skew_tv + 0.3,
-            "sharded {} vs iid {}",
-            r_sh.label_skew_tv,
-            r_iid.label_skew_tv
-        );
-    }
-
-    #[test]
-    fn feature_mean_of_uniform_rows() {
-        let mut f = Matrix::zeros(2, 2);
-        f.row_mut(0).copy_from_slice(&[1.0, 3.0]);
-        f.row_mut(1).copy_from_slice(&[3.0, 5.0]);
-        let d = Dataset::new(f, vec![0.0, 0.0], 1);
-        assert_eq!(feature_mean(&d), vec![2.0, 4.0]);
-    }
-
-    #[test]
-    fn report_size_fields() {
-        let data = class_dataset(50, 10);
-        let shards = Partitioner::new(
-            PartitionSpec::Iid { sizes: vec![20, 80, 40] },
-            1,
-        )
-        .partition(&data);
-        let r = heterogeneity_report(&shards);
-        assert_eq!(r.min_size, 20);
-        assert_eq!(r.max_size, 80);
-        assert!(r.size_gini > 0.0);
+        // Mean TV distance of each device's label mix from the global one.
+        let global = label_distribution(&data);
+        let skew = |shards: &[Dataset]| {
+            shards.iter().map(|s| tv_distance(&label_distribution(s), &global)).sum::<f64>()
+                / shards.len() as f64
+        };
+        let (iid, sharded) = (skew(&iid), skew(&sharded));
+        assert!(sharded > iid + 0.3, "sharded {sharded} vs iid {iid}");
     }
 }

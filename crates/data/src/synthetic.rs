@@ -276,7 +276,8 @@ mod tests {
         let d = &shards[0];
         let col_var = |j: usize| -> f64 {
             let vals: Vec<f64> = (0..d.len()).map(|i| d.x(i)[j]).collect();
-            fedprox_tensor::vecops::variance(&vals)
+            let mean = vals.iter().sum::<f64>() / vals.len() as f64;
+            vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / vals.len() as f64
         };
         assert!(col_var(0) > col_var(40));
     }

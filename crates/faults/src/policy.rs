@@ -60,10 +60,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy with `max_retries` attempts and no backoff.
-    pub fn attempts(max_retries: u64) -> Self {
-        RetryPolicy { max_retries, ..Default::default() }
-    }
 
     /// Capped exponential backoff: `base`, `base·m`, `base·m²`, …
     pub fn exponential(max_retries: u64, base_backoff_s: f64, max_backoff_s: f64) -> Self {

@@ -54,7 +54,9 @@ pub fn check_batch_grad<M: LossModel>(
     GradCheck { max_abs_err: max_abs, max_rel_err: max_rel, worst_coord: worst }
 }
 
-/// Assert helper: panics with a descriptive message when the check fails.
+/// Assert helper for the models' unit tests: panics with a descriptive
+/// message when the check fails.
+#[cfg(test)]
 pub fn assert_grad_ok<M: LossModel>(
     model: &M,
     w: &[f64],

@@ -417,7 +417,10 @@ mod tests {
         let m = Quad { dim: 2 };
         let d = toy_data(4, 2);
         // Minimizer of Σ½‖w−x_i‖² is the mean of x_i.
-        let mean = fedprox_data::stats::feature_mean(&d);
+        let mut mean = vec![0.0; 2];
+        for i in 0..d.len() {
+            fedprox_tensor::vecops::axpy(1.0 / d.len() as f64, d.x(i), &mut mean);
+        }
         let mut g = vec![0.0; 2];
         m.full_grad(&mean, &d, &mut g);
         assert!(fedprox_tensor::vecops::norm(&g) < 1e-12);

@@ -35,11 +35,6 @@ impl MultinomialLogistic {
         self
     }
 
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
     /// Number of input features.
     pub fn features(&self) -> usize {
         self.features
@@ -48,19 +43,6 @@ impl MultinomialLogistic {
     #[inline]
     fn weights_len(&self) -> usize {
         self.classes * self.features
-    }
-
-    /// Conservative smoothness bound for the per-sample softmax
-    /// cross-entropy over `data`: the Hessian of CE w.r.t. the logits is
-    /// bounded by ½·I, so `L ≤ max_i (‖x_i‖² + 1) / 2 + l2` (the +1 covers
-    /// the bias coordinate). Used by the experiment harness to set the
-    /// paper's step size η = 1/(βL) from data rather than by hand.
-    pub fn smoothness_bound(&self, data: &Dataset) -> f64 {
-        let mut max_sq = 0.0f64;
-        for i in 0..data.len() {
-            max_sq = max_sq.max(vecops::norm_sq(data.x(i)));
-        }
-        (max_sq + 1.0) / 2.0 + self.l2
     }
 
     /// Compute the logits `W x + b` into `out` (len = classes).
@@ -248,7 +230,7 @@ mod tests {
     fn dim_layout() {
         let m = MultinomialLogistic::new(5, 3);
         assert_eq!(m.dim(), 3 * 6);
-        assert_eq!(m.classes(), 3);
+        assert_eq!(m.classes, 3);
         assert_eq!(m.features(), 5);
     }
 

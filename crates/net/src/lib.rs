@@ -29,14 +29,12 @@
 
 pub mod clock;
 pub mod codec;
-pub mod compress;
 pub mod delay;
 pub mod message;
 pub mod observe;
 pub mod runtime;
 
 pub use clock::VirtualClock;
-pub use compress::{Compressed, Compressor};
 pub use delay::{DelayModel, LinkSpec};
 pub use message::Message;
 pub use runtime::{

@@ -1258,7 +1258,7 @@ mod tests {
         // the run must complete anyway.
         let resil = Resilience::with_plan(FaultPlan::new().flaky(1, 0.9, 1, 30));
         let opts = NetOptions {
-            retry: RetryPolicy::attempts(0),
+            retry: RetryPolicy { max_retries: 0, ..Default::default() },
             seed: 5,
             ..Default::default()
         }

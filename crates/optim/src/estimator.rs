@@ -367,14 +367,6 @@ impl Estimator {
             self.probe.push(vecops::norm_sq(&self.v));
         }
     }
-
-    /// `‖v − ∇F_n(w_t)‖` — the estimator error, used by the variance
-    /// ablation bench (the quantity bounded in the paper's eqs. (33)/(35)).
-    pub fn error_vs_full<M: LossModel>(&self, model: &M, data: &Dataset, w_t: &[f64]) -> f64 {
-        let mut full = vec![0.0; self.dim];
-        model.full_grad(w_t, data, &mut full);
-        vecops::dist(&self.v, &full)
-    }
 }
 
 #[cfg(test)]
@@ -504,13 +496,15 @@ mod tests {
         let w0 = vec![1.0, -1.0];
         let wt = vec![1.02, -0.98]; // near the anchor
         let mut rng = StdRng::seed_from_u64(5);
+        let mut full = vec![0.0; 2];
+        m.full_grad(&wt, &d, &mut full);
         let mut err = |kind: EstimatorKind| -> f64 {
             let mut total = 0.0;
             for _ in 0..50 {
                 let mut est = Estimator::begin(kind, &m, &d, &w0);
                 let b = [rng.gen_range(0..40)];
                 est.step(&m, &d, &b, &wt);
-                total += est.error_vs_full(&m, &d, &wt);
+                total += vecops::dist(est.direction(), &full);
             }
             total / 50.0
         };

@@ -64,11 +64,6 @@ impl<'a, M: LossModel> SimEngine<'a, M> {
         SimEngine { model, population, test, cfg, opts }
     }
 
-    /// The resolved runner options.
-    pub fn options(&self) -> &SimRunnerOptions {
-        &self.opts
-    }
-
     /// Run from the model's seeded initialisation.
     pub fn run(&self) -> Result<History, FedError> {
         self.run_from(self.model.init_params(self.cfg.seed))

@@ -102,11 +102,6 @@ impl ShardedEventLoop {
         }
     }
 
-    /// Number of shard heaps.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn push(&mut self, ev: Ev) {
         let s = ev.device % self.shards.len();
         self.shards[s].push(Reverse(ev));

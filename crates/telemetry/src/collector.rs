@@ -94,11 +94,6 @@ pub fn install_alloc_probe(probe: fn() -> (u64, u64)) {
     ALLOC_PROBE.store(probe as usize, Ordering::SeqCst);
 }
 
-/// Whether an allocation probe is installed.
-pub fn alloc_probe_installed() -> bool {
-    ALLOC_PROBE.load(Ordering::Relaxed) != 0
-}
-
 /// Current probe reading; `(0, 0)` when no probe is installed.
 fn alloc_now() -> (u64, u64) {
     let raw = ALLOC_PROBE.load(Ordering::Relaxed);
@@ -370,11 +365,6 @@ pub fn stream_to(path: &str) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Whether a streaming sink is currently attached.
-pub fn streaming() -> bool {
-    lock().stream.is_some()
-}
-
 /// Take everything recorded so far as a flat event stream: structured
 /// run events first (in arrival order), then raw spans, then the exact
 /// aggregates (flat span stats, span-tree path stats, counters, gauges,
@@ -545,18 +535,6 @@ pub fn trigger_postmortem(reason: &str, round: u32, device: Option<u32>) {
     record_event(Event::Postmortem { round, reason: reason.to_string(), device });
 }
 
-/// The ring snapshot captured at the first post-mortem trigger, if any
-/// fired this run. Non-consuming; cleared by [`reset`]/[`arm`]/[`drain`].
-pub fn postmortem_snapshot() -> Option<Vec<Event>> {
-    excluded(|| lock().postmortem.clone())
-}
-
-/// Current value of a counter (0 if never touched). Test helper: lets
-/// exact-count assertions read totals without draining.
-pub fn counter_value(name: &str) -> u64 {
-    lock().counters.get(name).copied().unwrap_or(0)
-}
-
 /// Exact activation count of a `(layer, name)` span so far.
 pub fn span_count(layer: &str, name: &str) -> u64 {
     lock()
@@ -715,6 +693,11 @@ pub(crate) mod tests {
 
     pub(crate) fn guard() -> MutexGuard<'static, ()> {
         SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A counter's total so far (0 if never touched), without draining.
+    fn counter_value(name: &str) -> u64 {
+        lock().counters.get(name).copied().unwrap_or(0)
     }
 
     #[test]
@@ -913,7 +896,7 @@ pub(crate) mod tests {
         let path_str = path.to_str().expect("utf8 path").to_string();
         arm();
         stream_to(&path_str).expect("attach sink");
-        assert!(streaming());
+        assert!(lock().stream.is_some());
         {
             let _s = SpanGuard::begin("t", "op", &[]);
         }
@@ -1014,7 +997,7 @@ pub(crate) mod tests {
         trigger_postmortem("quorum_skip", 1, Some(2));
         record_event(Event::RoundEnd { round: 1, sim_time_s: 2.0 });
         trigger_postmortem("non_finite", 2, None);
-        let snap = postmortem_snapshot().expect("first trigger captured");
+        let snap = lock().postmortem.clone().expect("first trigger captured");
         // The first trigger fired after one event; the later trigger
         // must not have replaced the snapshot.
         assert_eq!(snap.len(), 1);
@@ -1034,7 +1017,7 @@ pub(crate) mod tests {
         // Markers sit in arrival order between the round events.
         let kinds: Vec<&str> = events.iter().map(|e| e.kind()).take(4).collect();
         assert_eq!(kinds, vec!["round_end", "postmortem", "round_end", "postmortem"]);
-        assert!(postmortem_snapshot().is_none(), "drain clears the snapshot");
+        assert!(lock().postmortem.clone().is_none(), "drain clears the snapshot");
     }
 
     #[test]
@@ -1043,7 +1026,7 @@ pub(crate) mod tests {
         reset();
         disarm();
         trigger_postmortem("loss_guard", 3, None);
-        assert!(postmortem_snapshot().is_none());
+        assert!(lock().postmortem.clone().is_none());
         assert!(flight_snapshot().is_empty());
         assert!(drain().is_empty());
     }

@@ -107,11 +107,6 @@ impl ProfileReport {
         ProfileReport { paths }
     }
 
-    /// Deepest nesting level present (0 for an empty profile).
-    pub fn max_depth(&self) -> usize {
-        self.paths.iter().map(PathRow::depth).max().unwrap_or(0)
-    }
-
     /// Whether the trace carried any allocation attribution (a probe
     /// was installed during the run).
     pub fn has_alloc_data(&self) -> bool {
@@ -382,7 +377,6 @@ mod tests {
                 "round/evaluate"
             ]
         );
-        assert_eq!(p.max_depth(), 3);
         assert!(!p.has_alloc_data());
     }
 
@@ -484,6 +478,5 @@ mod tests {
         let p = ProfileReport::from_events(&[]);
         assert!(p.render_tree().contains("no span-tree data"));
         assert_eq!(p.render_flame(), "");
-        assert_eq!(p.max_depth(), 0);
     }
 }

@@ -99,17 +99,6 @@ pub fn smooth_hinge_deriv(margin: f64, gamma: f64) -> f64 {
     }
 }
 
-/// Logistic sigmoid.
-#[inline]
-pub fn sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,14 +200,6 @@ mod tests {
             let fd = (smooth_hinge(m + h, gamma) - smooth_hinge(m - h, gamma)) / (2.0 * h);
             assert!((fd - smooth_hinge_deriv(m, gamma)).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn sigmoid_symmetry_and_stability() {
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-12);
-        assert!((sigmoid(3.0) + sigmoid(-3.0) - 1.0).abs() < 1e-12);
-        assert!(sigmoid(-800.0) >= 0.0);
-        assert!(sigmoid(800.0) <= 1.0);
     }
 
     #[test]

@@ -1,16 +1,10 @@
-//! Seeded parameter initialisation (Xavier/Glorot, He, uniform, zeros).
+//! Seeded parameter initialisation (Xavier/Glorot, He, uniform).
 //!
 //! All initialisers take an explicit RNG so that every experiment in the
 //! benchmark harness is reproducible from a single `u64` seed.
 
 use rand::Rng;
 use rand_distr::{Distribution, Normal};
-
-/// Fill `buf` with zeros. (Exists for symmetry with the other
-/// initialisers so model code can be written uniformly.)
-pub fn zeros(buf: &mut [f64]) {
-    buf.fill(0.0);
-}
 
 /// Xavier/Glorot uniform: `U(-a, a)` with `a = sqrt(6 / (fan_in + fan_out))`.
 pub fn xavier_uniform(rng: &mut impl Rng, buf: &mut [f64], fan_in: usize, fan_out: usize) {
@@ -35,16 +29,6 @@ pub fn he_normal(rng: &mut impl Rng, buf: &mut [f64], fan_in: usize) {
 pub fn uniform(rng: &mut impl Rng, buf: &mut [f64], scale: f64) {
     for v in buf.iter_mut() {
         *v = rng.gen_range(-scale..=scale);
-    }
-}
-
-/// Standard normal scaled by `std`.
-pub fn normal(rng: &mut impl Rng, buf: &mut [f64], std: f64) {
-    #[allow(clippy::expect_used)]
-    // fedlint: allow(no-panic) — callers pass literal non-negative σ; Normal::new only rejects NaN/negative σ
-    let dist = Normal::new(0.0, std).expect("normal: invalid std");
-    for v in buf.iter_mut() {
-        *v = dist.sample(rng);
     }
 }
 
@@ -84,13 +68,6 @@ mod tests {
         xavier_uniform(&mut StdRng::seed_from_u64(7), &mut a, 4, 4);
         xavier_uniform(&mut StdRng::seed_from_u64(7), &mut b, 4, 4);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn zeros_fills() {
-        let mut buf = vec![1.0; 4];
-        zeros(&mut buf);
-        assert_eq!(buf, vec![0.0; 4]);
     }
 
     #[test]

@@ -25,11 +25,6 @@ impl Matrix {
         Matrix { rows, cols, data: vec![0.0; rows * cols] }
     }
 
-    /// Create a matrix filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Matrix { rows, cols, data: vec![value; rows * cols] }
-    }
-
     /// The identity matrix of size `n`.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
@@ -186,11 +181,6 @@ impl Matrix {
         self.rows = rows;
         self.cols = cols;
         self.data.resize(rows * cols, 0.0);
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        crate::vecops::norm(&self.data)
     }
 
     /// Elementwise map into a new matrix.
@@ -358,7 +348,7 @@ mod tests {
 
     #[test]
     fn map_and_axpy() {
-        let a = Matrix::filled(2, 2, 2.0);
+        let a = Matrix::from_vec(2, 2, vec![2.0; 4]);
         let b = a.map(|x| x * x);
         assert_eq!(b.as_slice(), &[4.0; 4]);
         let mut c = Matrix::zeros(2, 2);

@@ -58,15 +58,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// `y ← alpha * x` (overwrite).
-#[inline]
-pub fn scale_into(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_same_len(x, y, "scale_into");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi = alpha * xi;
-    }
-}
-
 /// `x ← alpha * x` in place.
 #[inline]
 pub fn scale(alpha: f64, x: &mut [f64]) {
@@ -104,28 +95,6 @@ pub fn add_assign(a: &mut [f64], b: &[f64]) {
     }
 }
 
-/// `a ← a − b` in place.
-#[inline]
-pub fn sub_assign(a: &mut [f64], b: &[f64]) {
-    assert_same_len(a, b, "sub_assign");
-    for (x, y) in a.iter_mut().zip(b) {
-        *x -= y;
-    }
-}
-
-/// Fill with zeros.
-#[inline]
-pub fn zero(a: &mut [f64]) {
-    a.fill(0.0);
-}
-
-/// Weighted in-place accumulation `acc ← acc + w * x`, the aggregation
-/// primitive of the server update (Algorithm 1, line 12).
-#[inline]
-pub fn weighted_accumulate(acc: &mut [f64], w: f64, x: &[f64]) {
-    axpy(w, x, acc);
-}
-
 /// Linear interpolation `out ← (1−t)·a + t·b`.
 #[inline]
 pub fn lerp_into(a: &[f64], b: &[f64], t: f64, out: &mut [f64]) {
@@ -134,12 +103,6 @@ pub fn lerp_into(a: &[f64], b: &[f64], t: f64, out: &mut [f64]) {
     for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
         *o = (1.0 - t) * x + t * y;
     }
-}
-
-/// Maximum absolute element (`‖a‖∞`); 0 for an empty slice.
-#[inline]
-pub fn max_abs(a: &[f64]) -> f64 {
-    a.iter().fold(0.0_f64, |m, x| m.max(x.abs()))
 }
 
 /// True iff every element is finite (no NaN / ±inf). Used by the drivers to
@@ -158,18 +121,6 @@ pub fn mean(a: &[f64]) -> f64 {
     let m = a.iter().sum::<f64>() / a.len() as f64;
     crate::guard::check_finite_scalar("mean reduction", m);
     m
-}
-
-/// Population variance; 0 for slices with fewer than two elements.
-#[inline]
-pub fn variance(a: &[f64]) -> f64 {
-    if a.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(a);
-    let v = a.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / a.len() as f64;
-    crate::guard::check_finite_scalar("variance reduction", v);
-    v
 }
 
 #[cfg(test)]
@@ -207,13 +158,10 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_scale_into() {
+    fn scale_in_place() {
         let mut x = vec![2.0, -4.0];
         scale(0.5, &mut x);
         assert_eq!(x, vec![1.0, -2.0]);
-        let mut y = vec![0.0, 0.0];
-        scale_into(3.0, &[1.0, 2.0], &mut y);
-        assert_eq!(y, vec![3.0, 6.0]);
     }
 
     #[test]
@@ -228,8 +176,6 @@ mod tests {
         let mut c = [1.0, 1.0];
         add_assign(&mut c, &a);
         assert_eq!(c, [2.0, 3.0]);
-        sub_assign(&mut c, &a);
-        assert_eq!(c, [1.0, 1.0]);
     }
 
     #[test]
@@ -256,16 +202,5 @@ mod tests {
     fn stats() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);
-        assert!((variance(&[1.0, 2.0, 3.0]) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(variance(&[5.0]), 0.0);
-        assert_eq!(max_abs(&[-3.0, 2.0]), 3.0);
-        assert_eq!(max_abs(&[]), 0.0);
-    }
-
-    #[test]
-    fn weighted_accumulate_is_axpy() {
-        let mut acc = vec![0.0, 0.0];
-        weighted_accumulate(&mut acc, 0.25, &[4.0, 8.0]);
-        assert_eq!(acc, vec![1.0, 2.0]);
     }
 }

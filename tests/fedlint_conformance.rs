@@ -1,5 +1,5 @@
 //! Tier-1 conformance gate: the full fedlint engine — the line-local
-//! R1–R6 rules plus the AST/call-graph D/P/F rules — must stay within
+//! R1–R6 rules plus the AST/call-graph D/P/F and dead-pub rules — must stay within
 //! the committed `LINT_BASELINE.json`, the same check `ci.sh` runs via
 //! `fedlint check --gate`. The baseline budgets every line-local rule at
 //! zero violations, a malformed annotation (an empty reason included)
