@@ -113,10 +113,14 @@ golden fedsim specs/fedsim.small.json
 
 # health-smoke: a tiny armed run writes an --obs JSONL, `fedobs health
 # check` validates its health schema, the report renders, and a
-# self-diff must be regression-free (exit 0). No kernel span may root a
-# stack: data synthesis runs under its own `build_federation` root.
-echo "==> health-smoke (armed tiny run -> schema check -> self-diff -> rooted kernels)"
+# self-diff must be regression-free (exit 0). The sequential run's 4
+# rounds must each close with a `round_end`, so `fedobs summary` counts
+# them. No kernel span may root a stack: data synthesis runs under its
+# own `build_federation` root.
+echo "==> health-smoke (armed tiny run -> round count -> schema check -> self-diff -> rooted kernels)"
 ./target/release/fedrun specs/health.small.json --obs "$PERF_TMP/health.jsonl" >/dev/null
+./target/release/fedobs summary "$PERF_TMP/health.jsonl" | grep -q "^fedobs summary: 4 rounds," \
+    || { echo "health-smoke: fedobs summary does not count the run's 4 rounds"; exit 1; }
 ./target/release/fedobs health check "$PERF_TMP/health.jsonl"
 ./target/release/fedobs health report "$PERF_TMP/health.jsonl" >/dev/null
 ./target/release/fedobs health diff "$PERF_TMP/health.jsonl" "$PERF_TMP/health.jsonl" >/dev/null
@@ -169,7 +173,8 @@ fi
 # every later round skips) streams the obs feed; the flight recorder must
 # fire and `fedobs postmortem` must blame the crashed device. Then two
 # same-seed runs must carry identical run-ledger headers (`fedobs ledger
-# diff` exits 0 and prints "identical"). Reuses the telemetry-enabled
+# diff` exits 0 and prints "identical"). The critical path must also
+# render as a `fedobs/v1` JSON document. Reuses the telemetry-enabled
 # bench build and the fedobs build.
 echo "==> fedobs-smoke (faulted --obs run -> postmortem blame -> ledger self-diff)"
 ./target/release/fedrun specs/fedresil_quorum.small.json --obs "$PERF_TMP/obs_a.jsonl" >/dev/null
@@ -181,6 +186,8 @@ echo "==> fedobs-smoke (faulted --obs run -> postmortem blame -> ledger self-dif
     | grep -q "^identical" \
     || { echo "fedobs-smoke: same-seed run ledgers differ"; exit 1; }
 ./target/release/fedobs critpath "$PERF_TMP/obs_a.jsonl" >/dev/null
+./target/release/fedobs critpath "$PERF_TMP/obs_a.jsonl" --json | grep -q '^{"schema":"fedobs/v1",' \
+    || { echo "fedobs-smoke: critpath --json is not a fedobs/v1 document"; exit 1; }
 
 # fedsim-smoke: the event-driven backend at population scale. Two
 # same-seed 100k-device power-law runs sampling K=32 per round must

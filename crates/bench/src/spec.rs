@@ -302,10 +302,15 @@ pub enum Spec {
 }
 
 impl Serialize for Spec {
-    fn to_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         match self {
-            Spec::Experiment(e) => e.to_value(),
-            Spec::ParamOpt(p) => Value::Object(vec![("paramopt".into(), p.to_value())]),
+            Spec::Experiment(e) => e.write_json(out),
+            Spec::ParamOpt(p) => {
+                out.push('{');
+                serde::json::write_key(out, true, "paramopt");
+                p.write_json(out);
+                out.push('}');
+            }
         }
     }
 }

@@ -90,6 +90,18 @@ fn duplicate_spec_key_exits_2() {
 }
 
 #[test]
+fn deeply_nested_spec_exits_2_instead_of_overflowing_the_stack() {
+    let dir = scratch("deep");
+    let spec_path = dir.join("deep.json");
+    std::fs::write(&spec_path, "[".repeat(50_000)).unwrap();
+    let out = fedrun(&[spec_path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("invalid spec") && stderr.contains("nesting deeper than 128"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn overrides_a_spec_kind_never_reads_exit_2() {
     for (spec, flags, kind) in [
         ("table1.small.json", &["--rounds", "3"][..], "search"),

@@ -25,11 +25,11 @@
 //! one-line diff, raising one is a reviewed decision.
 
 use crate::callgraph::{self, CallGraph, Reachability, SourceFile};
-use crate::json;
 use crate::lexer;
 use crate::manifest::{self, Manifest};
 use crate::parser;
 use crate::{check_source, rules_for_crate, Rule, Violation};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -75,7 +75,7 @@ impl fmt::Display for Finding {
 }
 
 /// Violation/allowed tallies for one rule.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct Counts {
     /// Unsuppressed violations.
     pub violations: u64,
@@ -127,68 +127,48 @@ impl Analysis {
         self.findings.iter().filter(|f| f.allowed.is_none())
     }
 
-    /// Serialize to the `fedlint/v1` JSON schema.
+    /// Serialize to the `fedlint/v1` JSON schema (a finding carries
+    /// `reason` only when an annotation allows it).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!(
-            "  \"graph\": {{\"nodes\": {}, \"edges\": {}, \"entries\": {}}},\n",
-            self.graph.nodes.len(),
-            self.graph.edge_count(),
-            self.entries.len()
-        ));
-        out.push_str("  \"counts\": {\n");
-        let counts = self.counts();
-        let mut first = true;
-        for (id, c) in &counts {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!(
-                "    \"{id}\": {{\"violations\": {}, \"allowed\": {}}}",
-                c.violations, c.allowed
-            ));
+        fn object(fields: Vec<(&str, Value)>) -> Value {
+            Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
         }
-        out.push_str("\n  },\n");
-        out.push_str("  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            let chain = f
-                .chain
-                .iter()
-                .map(|s| format!("\"{}\"", json::escape(s)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let reason = match &f.allowed {
-                Some(r) => format!(", \"reason\": \"{}\"", json::escape(r)),
-                None => String::new(),
-            };
-            out.push_str(&format!(
-                "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"allowed\": {}, \
-                 \"message\": \"{}\", \"chain\": [{chain}]{reason}}}{}\n",
-                f.rule.id(),
-                json::escape(&f.file),
-                f.line,
-                f.allowed.is_some(),
-                json::escape(&f.message),
-                if i + 1 < self.findings.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"bad_annotations\": [\n");
-        for (i, v) in self.bad_annotations.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}{}\n",
-                json::escape(&v.file),
-                v.line,
-                json::escape(&v.message),
-                if i + 1 < self.bad_annotations.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let counts = self.counts().into_iter().map(|(id, c)| (id, c.to_value())).collect();
+        let findings = self.findings.iter().map(|f| {
+            let mut o = vec![
+                ("rule", f.rule.id().to_value()),
+                ("file", f.file.to_value()),
+                ("line", f.line.to_value()),
+                ("allowed", f.allowed.is_some().to_value()),
+                ("message", f.message.to_value()),
+                ("chain", f.chain.to_value()),
+            ];
+            o.extend(f.allowed.as_ref().map(|r| ("reason", r.to_value())));
+            object(o)
+        });
+        let bad = self.bad_annotations.iter().map(|v| {
+            object(vec![
+                ("file", v.file.to_value()),
+                ("line", v.line.to_value()),
+                ("message", v.message.to_value()),
+            ])
+        });
+        let doc = object(vec![
+            ("schema", SCHEMA.to_value()),
+            ("files_scanned", self.files_scanned.to_value()),
+            (
+                "graph",
+                object(vec![
+                    ("nodes", self.graph.nodes.len().to_value()),
+                    ("edges", self.graph.edge_count().to_value()),
+                    ("entries", self.entries.len().to_value()),
+                ]),
+            ),
+            ("counts", object(counts)),
+            ("findings", Value::Array(findings.collect())),
+            ("bad_annotations", Value::Array(bad.collect())),
+        ]);
+        serde_json::to_string_pretty(&doc).unwrap_or_default() + "\n"
     }
 }
 
@@ -218,14 +198,14 @@ impl Baseline {
 
     /// Parse a committed baseline document.
     pub fn parse(text: &str) -> Result<Baseline, String> {
-        let v = json::parse(text)?;
-        let schema = v.get("schema").and_then(json::Value::as_str);
+        let v: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        let schema = v.get("schema").and_then(Value::as_str);
         if schema != Some(SCHEMA) {
             return Err(format!("baseline schema must be \"{SCHEMA}\", got {schema:?}"));
         }
         let budgets = v
             .get("budgets")
-            .and_then(json::Value::as_obj)
+            .and_then(Value::as_object)
             .ok_or_else(|| "baseline missing \"budgets\" object".to_string())?;
         let mut out = Baseline::default();
         for (id, entry) in budgets {
@@ -234,11 +214,11 @@ impl Baseline {
             }
             let violations = entry
                 .get("violations")
-                .and_then(json::Value::as_u64)
+                .and_then(|n| u64::from_value(n).ok())
                 .ok_or_else(|| format!("budget `{id}` missing numeric \"violations\""))?;
             let allowed = entry
                 .get("allowed")
-                .and_then(json::Value::as_u64)
+                .and_then(|n| u64::from_value(n).ok())
                 .ok_or_else(|| format!("budget `{id}` missing numeric \"allowed\""))?;
             out.budgets.insert(id.clone(), Counts { violations, allowed });
         }

@@ -1,5 +1,5 @@
-//! `fedlint`: a dependency-free static conformance pass over the
-//! FedProxVR workspace sources.
+//! `fedlint`: a static conformance pass over the FedProxVR workspace
+//! sources, built on its own lexer and parser (no `syn`, no `rustc`).
 //!
 //! The [`engine`] walks `crates/*/src/**.rs`, scans each file with a
 //! string/comment-aware lexer ([`lexer`]), and enforces the line-local
@@ -18,7 +18,6 @@
 
 pub mod callgraph;
 pub mod engine;
-pub mod json;
 pub mod lexer;
 pub mod manifest;
 pub mod parser;

@@ -1,7 +1,6 @@
 //! A minimal `Cargo.toml` reader for the F-rules.
 //!
-//! fedlint is deliberately dependency-free, so this is not a TOML
-//! parser — it reads exactly the manifest subset the feature-gate rules
+//! This is not a TOML parser — it reads exactly the manifest subset the feature-gate rules
 //! need: the package name, `[features]` definitions (with line numbers,
 //! for violation locations), and dependency names with their `optional`
 //! flag. Multi-line arrays and inline tables are handled; exotic TOML

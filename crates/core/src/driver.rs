@@ -174,6 +174,8 @@ pub fn run<M: LossModel>(
             );
             participation.push(rec);
             rounds_run = s;
+            #[cfg(feature = "telemetry")]
+            record_round_end(s, clock.now());
             end.skipped(s, &global, Counters::now(&grad_evals, &clock));
             on_round(&RoundStats { round: s, active: 0, sim_time: clock.now() });
             continue;
@@ -293,6 +295,9 @@ pub fn run<M: LossModel>(
                     clock.now(),
                 );
             }
+        } else {
+            #[cfg(feature = "telemetry")]
+            record_round_end(s, clock.now());
         }
         // (local model, weight) of every device that made the round.
         let responders: Vec<(&[f64], f64)> = updates
@@ -356,6 +361,15 @@ pub fn run<M: LossModel>(
     }
 
     Ok(end.finish(rounds_run, clock.now(), global, participation))
+}
+
+/// Close round `s` (1-based) in the telemetry stream, for the rounds no
+/// timing observation closes: every in-process round and every
+/// quorum-skipped one. `RoundEnd` flushes the streaming sink.
+#[cfg(feature = "telemetry")]
+fn record_round_end(s: usize, sim_time_s: f64) {
+    use fedprox_telemetry::event::Event;
+    fedprox_telemetry::collector::record_event(Event::RoundEnd { round: (s - 1) as u32, sim_time_s });
 }
 
 /// The round-end policy every backend shares: divergence detection, the

@@ -16,6 +16,7 @@
 //! [`RunLedger`](crate::ledger::RunLedger)s have identical timelines.
 
 use fedprox_telemetry::event::Event;
+use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -45,7 +46,7 @@ impl DeviceLeg {
 
 /// The round's critical path: who gated it and how the gating leg
 /// splits into eq. (19)'s terms.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Gating {
     /// The gating (slowest-finishing) device; ties break to the lowest
     /// device id, matching the deterministic event order.
@@ -94,7 +95,7 @@ pub struct RoundTimeline {
 }
 
 /// Cumulative gating attribution of one device across the run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Attribution {
     /// Device id.
     pub device: u32,
@@ -316,67 +317,32 @@ impl Timeline {
         s
     }
 
-    /// Machine-checkable `fedobs/v1` JSON (hand-rolled, matching the
-    /// telemetry codec's number formatting).
+    /// Machine-checkable `fedobs/v1` JSON: `schema`, `total_sim_s`,
+    /// `rounds` (`round`, `bytes_down`, `bytes_up`, `skipped` as 0/1, then
+    /// `sim_time_s` and the derived `gating` when known) and the derived
+    /// `critpath` attribution rows.
     pub fn to_json(&self) -> String {
-        fn f(out: &mut String, v: f64) {
-            if v.is_finite() {
-                let _ = write!(out, "{v}");
-            } else {
-                out.push_str("null");
-            }
+        fn object(fields: Vec<(&str, Value)>) -> Value {
+            Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
         }
-        let mut s = String::from("{\"schema\":\"fedobs/v1\",\"total_sim_s\":");
-        f(&mut s, self.total_sim_s);
-        s.push_str(",\"rounds\":[");
-        for (i, r) in self.rounds.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"round\":{},\"bytes_down\":{},\"bytes_up\":{},\"skipped\":{}",
-                r.round,
-                r.bytes_down,
-                r.bytes_up,
-                u32::from(r.skipped)
-            );
-            if let Some(t) = r.sim_time_s {
-                s.push_str(",\"sim_time_s\":");
-                f(&mut s, t);
-            }
-            match r.gating {
-                Some(g) => {
-                    let _ = write!(s, ",\"gating\":{{\"device\":{},\"finish_s\":", g.device);
-                    f(&mut s, g.finish_s);
-                    s.push_str(",\"comm_s\":");
-                    f(&mut s, g.comm_s);
-                    s.push_str(",\"compute_s\":");
-                    f(&mut s, g.compute_s);
-                    s.push_str("}}");
-                }
-                None => s.push('}'),
-            }
-        }
-        s.push_str("],\"critpath\":[");
-        for (i, a) in self.attribution.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"device\":{},\"gated_rounds\":{},\"gated_time_s\":",
-                a.device, a.gated_rounds
-            );
-            f(&mut s, a.gated_time_s);
-            s.push_str(",\"comm_s\":");
-            f(&mut s, a.comm_s);
-            s.push_str(",\"compute_s\":");
-            f(&mut s, a.compute_s);
-            s.push('}');
-        }
-        s.push_str("]}");
-        s
+        let rounds = self.rounds.iter().map(|r| {
+            let mut o = vec![
+                ("round", r.round.to_value()),
+                ("bytes_down", r.bytes_down.to_value()),
+                ("bytes_up", r.bytes_up.to_value()),
+                ("skipped", u32::from(r.skipped).to_value()),
+            ];
+            o.extend(r.sim_time_s.map(|t| ("sim_time_s", t.to_value())));
+            o.extend(r.gating.map(|g| ("gating", g.to_value())));
+            object(o)
+        });
+        let doc = object(vec![
+            ("schema", Value::String("fedobs/v1".into())),
+            ("total_sim_s", self.total_sim_s.to_value()),
+            ("rounds", Value::Array(rounds.collect())),
+            ("critpath", self.attribution.to_value()),
+        ]);
+        serde_json::to_string(&doc).unwrap_or_default()
     }
 }
 
@@ -484,11 +450,15 @@ mod tests {
         let j = t.to_json();
         assert!(j.starts_with("{\"schema\":\"fedobs/v1\""));
         assert!(j.contains("\"critpath\":[{\"device\":1,\"gated_rounds\":2"));
-        // Balanced braces/brackets (cheap structural sanity without a
-        // JSON dependency).
-        let opens = j.matches('{').count() + j.matches('[').count();
-        let closes = j.matches('}').count() + j.matches(']').count();
-        assert_eq!(opens, closes);
+        let v: Value = serde_json::from_str(&j).unwrap();
+        assert_eq!(v.get("total_sim_s"), Some(&t.total_sim_s.to_value()));
+        // The v1 round shape: `skipped` is 0/1, no device legs, and
+        // absent values are omitted, not null.
+        let Some(Value::Array(rounds)) = v.get("rounds") else { panic!("no rounds: {j}") };
+        let r = &rounds[0];
+        let keys: Vec<&str> = r.as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["round", "bytes_down", "bytes_up", "skipped", "sim_time_s", "gating"]);
+        assert_eq!(r.get("skipped"), Some(&0u32.to_value()));
     }
 
     #[test]

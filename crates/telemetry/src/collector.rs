@@ -46,7 +46,7 @@
 //! durations are observations about the host, never inputs to training.
 
 use crate::event::Event;
-use crate::jsonl;
+use serde::Serialize as _;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write as _;
@@ -259,9 +259,9 @@ struct Inner {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
     hists: BTreeMap<&'static str, [u64; HISTOGRAM_BOUNDS.len() + 1]>,
-    /// Incremental JSONL sink; buffered raw/run events flush here on
-    /// every `RoundEnd` and whenever a buffer cap is hit.
-    stream: Option<std::io::BufWriter<std::fs::File>>,
+    /// Whether buffered raw/run events flush to [`SINK`] on every
+    /// `RoundEnd` and whenever a buffer cap is hit.
+    streaming: bool,
     /// Flight recorder: the most recent [`FLIGHT_RING_CAP`] structured
     /// run events, kept even after spills/drops so a post-mortem window
     /// always exists.
@@ -284,45 +284,68 @@ impl Inner {
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
             hists: BTreeMap::new(),
-            stream: None,
+            streaming: false,
             flight: VecDeque::new(),
             postmortem: None,
         }
     }
 
-    /// Write every buffered raw/run event to the streaming sink and
-    /// clear the buffers. On any I/O error the sink is detached and
-    /// buffering falls back to the in-memory caps (telemetry must never
-    /// panic or print from library code).
-    fn flush_stream(&mut self) {
-        let Some(mut w) = self.stream.take() else { return };
-        let mut ok = true;
-        for e in self.run_events.drain(..) {
-            let mut line = jsonl::write_line(&e);
+    /// Take every buffered raw/run event for the sink, together with
+    /// the sink's lock, so batches reach the file in the order they were
+    /// taken. `None` without a sink; a sink that a failed write detached
+    /// turns streaming off, and buffering falls back to the in-memory
+    /// caps.
+    fn take_flush(&mut self) -> Option<Flush> {
+        if !self.streaming {
+            return None;
+        }
+        let sink = SINK.lock().unwrap_or_else(PoisonError::into_inner);
+        if sink.is_none() {
+            self.streaming = false;
+            return None;
+        }
+        Some(Flush {
+            sink,
+            run_events: std::mem::take(&mut self.run_events),
+            span_recs: std::mem::take(&mut self.span_recs),
+        })
+    }
+}
+
+/// A batch of buffered events on its way to the sink. It is taken under
+/// the collector lock and encoded after that lock is released, so other
+/// threads keep recording while it is written.
+struct Flush {
+    sink: MutexGuard<'static, Option<std::io::BufWriter<std::fs::File>>>,
+    run_events: Vec<Event>,
+    span_recs: Vec<SpanRec>,
+}
+
+impl Flush {
+    /// Encode and write the batch. On any I/O error the sink is
+    /// detached (telemetry must never panic or print from library code).
+    fn write(mut self) {
+        let Some(w) = self.sink.as_mut() else { return };
+        // One line buffer for the whole batch: `jsonl::write_line`'s
+        // text, without a `String` per event.
+        let mut line = String::new();
+        let spans = self.span_recs.iter().map(SpanRec::to_event);
+        let ok = self.run_events.drain(..).chain(spans).all(|e| {
+            line.clear();
+            e.write_json(&mut line);
             line.push('\n');
-            if w.write_all(line.as_bytes()).is_err() {
-                ok = false;
-                break;
-            }
-        }
-        if ok {
-            for r in self.span_recs.drain(..) {
-                let mut line = jsonl::write_line(&r.to_event());
-                line.push('\n');
-                if w.write_all(line.as_bytes()).is_err() {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok && w.flush().is_ok() {
-            self.stream = Some(w);
+            w.write_all(line.as_bytes()).is_ok()
+        });
+        if !(ok && w.flush().is_ok()) {
+            *self.sink = None;
         }
     }
 }
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static INNER: Mutex<Inner> = Mutex::new(Inner::new());
+/// The incremental JSONL sink. Lock order: [`INNER`], then `SINK`.
+static SINK: Mutex<Option<std::io::BufWriter<std::fs::File>>> = Mutex::new(None);
 
 fn lock() -> MutexGuard<'static, Inner> {
     // A panic while holding the lock (e.g. an instrumented worker dying)
@@ -350,7 +373,9 @@ pub fn is_armed() -> bool {
 
 /// Discard all recorded state (and detach any streaming sink).
 pub fn reset() {
-    *lock() = Inner::new();
+    let mut g = lock();
+    *g = Inner::new();
+    *SINK.lock().unwrap_or_else(PoisonError::into_inner) = None;
 }
 
 /// Attach an incremental JSONL sink: buffered raw span and run events
@@ -361,7 +386,9 @@ pub fn reset() {
 /// complete trace file is the streamed lines plus the drained tail.
 pub fn stream_to(path: &str) -> std::io::Result<()> {
     let file = std::fs::File::create(path)?;
-    lock().stream = Some(std::io::BufWriter::new(file));
+    let mut g = lock();
+    *SINK.lock().unwrap_or_else(PoisonError::into_inner) = Some(std::io::BufWriter::new(file));
+    g.streaming = true;
     Ok(())
 }
 
@@ -381,10 +408,10 @@ pub fn drain() -> Vec<Event> {
         let mut g = lock();
         std::mem::replace(&mut *g, Inner::new())
     };
-    if inner.stream.is_some() {
-        inner.flush_stream();
-        // Drop (close) the sink; remaining events go to the caller.
-        inner.stream = None;
+    if let Some(f) = inner.take_flush() {
+        f.write();
+        // Close the sink; remaining events go to the caller.
+        *SINK.lock().unwrap_or_else(PoisonError::into_inner) = None;
     }
     let mut out = Vec::with_capacity(
         inner.run_events.len() + inner.span_recs.len() + inner.spans.len() + inner.paths.len() + 8,
@@ -493,17 +520,24 @@ pub fn record_event(event: Event) {
             g.flight.pop_front();
         }
         g.flight.push_back(event.clone());
+        let mut flush = None;
         if g.run_events.len() >= RUN_EVENT_CAP {
-            if g.stream.is_some() {
-                g.flush_stream();
-            } else {
+            flush = g.take_flush();
+            if flush.is_none() {
                 g.dropped = g.dropped.saturating_add(1);
                 return;
             }
         }
-        g.run_events.push(event);
-        if round_end && g.stream.is_some() {
-            g.flush_stream();
+        match flush.as_mut() {
+            Some(f) => f.run_events.push(event),
+            None => g.run_events.push(event),
+        }
+        if round_end && flush.is_none() {
+            flush = g.take_flush();
+        }
+        drop(g);
+        if let Some(f) = flush {
+            f.write();
         }
     });
 }
@@ -582,10 +616,10 @@ fn record_closed_span(c: ClosedSpan) {
     pa.self_bytes = pa.self_bytes.saturating_add(c.self_bytes);
     pa.total_allocs = pa.total_allocs.saturating_add(c.calls);
     pa.self_allocs = pa.self_allocs.saturating_add(c.self_calls);
+    let mut flush = None;
     if g.span_recs.len() >= SPAN_EVENT_CAP {
-        if g.stream.is_some() {
-            g.flush_stream();
-        } else {
+        flush = g.take_flush();
+        if flush.is_none() {
             // No sink: the raw sample is truncated (aggregates above
             // stay exact); a TraceTruncated marker surfaces it.
             g.truncated_spans = g.truncated_spans.saturating_add(1);
@@ -593,6 +627,10 @@ fn record_closed_span(c: ClosedSpan) {
         }
     }
     g.span_recs.push(SpanRec { layer: c.layer, name: c.name, micros: c.micros, attrs: c.attrs });
+    drop(g);
+    if let Some(f) = flush {
+        f.write();
+    }
 }
 
 /// RAII guard recording a wall-clock span from construction to drop.
@@ -686,6 +724,7 @@ impl Drop for SpanGuard {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::jsonl;
 
     // The collector is process-global; serialize every test in the crate
     // that opens spans or records into it (see `crate::tests`).
@@ -896,7 +935,7 @@ pub(crate) mod tests {
         let path_str = path.to_str().expect("utf8 path").to_string();
         arm();
         stream_to(&path_str).expect("attach sink");
-        assert!(lock().stream.is_some());
+        assert!(lock().streaming);
         {
             let _s = SpanGuard::begin("t", "op", &[]);
         }

@@ -16,9 +16,16 @@
 //! Counters, gauges, and histograms sit in between: counts of discrete
 //! work items (gradient evaluations, prox applications) are
 //! deterministic; histograms of wall durations are not.
+//!
+//! The JSONL wire form (see [`crate::jsonl`]) is derived: one object per
+//! event, tagged `"t"` with [`Event::kind`], fields under their
+//! `#[serde(rename)]` keys.
+
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// One telemetry record.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "t", rename_all = "snake_case")]
 pub enum Event {
     /// A single activation of a `span!` scope.
     Span {
@@ -27,8 +34,11 @@ pub enum Event {
         /// Operation name within the layer (e.g. `matmul`).
         name: String,
         /// Wall-clock duration in microseconds.
+        #[serde(rename = "us")]
         micros: f64,
-        /// Static key/value attributes (dimensions, indices, sizes).
+        /// Static key/value attributes (dimensions, indices, sizes),
+        /// written as one JSON object.
+        #[serde(with = "span_attrs")]
         attrs: Vec<(String, f64)>,
     },
     /// Aggregate over *every* activation of one `(layer, name)` span,
@@ -42,8 +52,10 @@ pub enum Event {
         /// Total activations.
         count: u64,
         /// Summed wall-clock duration in microseconds.
+        #[serde(rename = "total_us")]
         total_micros: f64,
         /// Longest single activation in microseconds.
+        #[serde(rename = "max_us")]
         max_micros: f64,
     },
     /// Final value of a monotonically-increasing counter.
@@ -62,13 +74,14 @@ pub enum Event {
     },
     /// A fixed-bucket histogram. `counts.len() == bounds.len() + 1`; the
     /// last bucket counts samples above every bound.
+    #[serde(rename = "hist")]
     Histogram {
+        /// Histogram name.
+        name: String,
         /// Upper bucket bounds (inclusive), ascending.
         bounds: Vec<f64>,
         /// Per-bucket sample counts.
         counts: Vec<u64>,
-        /// Histogram name.
-        name: String,
     },
     /// Per-device timing of one synchronous round, in simulated seconds.
     DeviceRound {
@@ -94,6 +107,7 @@ pub enum Event {
         /// Wire message kind (`global_model`, `local_model`).
         kind: String,
         /// `down` (server → devices) or `up` (devices → server).
+        #[serde(rename = "dir")]
         direction: String,
         /// Bytes on the wire, including retransmissions.
         bytes: u64,
@@ -116,11 +130,14 @@ pub enum Event {
         /// Training loss at this round (always finite — rounds that
         /// cannot produce a finite sample emit an [`Event::Anomaly`]
         /// instead).
+        #[serde(rename = "loss")]
         train_loss: f64,
         /// `train_loss` minus the previous sampled round's loss
         /// (0.0 on the first sample).
+        #[serde(rename = "dloss")]
         loss_delta: f64,
         /// Squared gradient-mapping norm, the paper's eq. (12) gap.
+        #[serde(rename = "gap")]
         grad_norm_sq: f64,
         /// Measured local accuracy θ of criterion (11), when enabled.
         theta: Option<f64>,
@@ -185,8 +202,8 @@ pub enum Event {
         link_failed: u32,
         /// Responding fraction of the federation aggregation weight.
         weight: f64,
-        /// 1 when the round failed quorum and was skipped, else 0
-        /// (an integer, not a bool, for the hand-rolled JSONL parser).
+        /// 1 when the round failed quorum and was skipped, else 0 (an
+        /// integer on the wire since the first JSONL version).
         skipped: u32,
     },
     /// Aggregate over every activation of one span-tree *path*: the
@@ -204,10 +221,13 @@ pub enum Event {
         /// Total activations of this exact path.
         count: u64,
         /// Summed wall-clock duration, including children, in µs.
+        #[serde(rename = "total_us")]
         total_micros: f64,
         /// Summed wall-clock duration minus time spent in child spans.
+        #[serde(rename = "self_us")]
         self_micros: f64,
         /// Longest single activation (total time) in µs.
+        #[serde(rename = "max_us")]
         max_micros: f64,
         /// Allocator bytes requested while this path was open,
         /// including children. Zero when no alloc probe is installed.
@@ -276,8 +296,29 @@ pub enum Event {
     },
 }
 
-/// The fixed vocabulary of health-anomaly rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// `Span.attrs` as one JSON object, `{"key": value, ...}`, in order.
+mod span_attrs {
+    use super::{DeError, Deserialize, Serialize, Value};
+
+    pub(super) fn write_json(attrs: &[(String, f64)], out: &mut String) {
+        out.push('{');
+        for (i, (k, v)) in attrs.iter().enumerate() {
+            serde::json::write_key(out, i == 0, k);
+            v.write_json(out);
+        }
+        out.push('}');
+    }
+
+    pub(super) fn from_value(v: &Value) -> Result<Vec<(String, f64)>, DeError> {
+        let fields = v.as_object().ok_or_else(|| DeError::expected("object", "attrs", v))?;
+        fields.iter().map(|(k, v)| Ok((k.clone(), f64::from_value(v)?))).collect()
+    }
+}
+
+/// The fixed vocabulary of health-anomaly rules; the wire name is
+/// [`AnomalyRule::name`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum AnomalyRule {
     /// Non-finite model parameters after aggregation.
     NonFinite,
@@ -300,7 +341,7 @@ pub enum AnomalyRule {
 }
 
 impl AnomalyRule {
-    /// Stable wire name used in the JSONL encoding.
+    /// Stable name, as written in the JSONL encoding.
     pub fn name(self) -> &'static str {
         match self {
             AnomalyRule::NonFinite => "non_finite",
@@ -309,19 +350,6 @@ impl AnomalyRule {
             AnomalyRule::VrIneffective => "vr_ineffective",
             AnomalyRule::Starvation => "starvation",
             AnomalyRule::ParticipationGap => "participation_gap",
-        }
-    }
-
-    /// Inverse of [`AnomalyRule::name`]; `None` for unknown names.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "non_finite" => Some(AnomalyRule::NonFinite),
-            "loss_guard" => Some(AnomalyRule::LossGuard),
-            "theta_violation" => Some(AnomalyRule::ThetaViolation),
-            "vr_ineffective" => Some(AnomalyRule::VrIneffective),
-            "starvation" => Some(AnomalyRule::Starvation),
-            "participation_gap" => Some(AnomalyRule::ParticipationGap),
-            _ => None,
         }
     }
 
@@ -454,10 +482,11 @@ mod tests {
     }
 
     #[test]
-    fn anomaly_rule_names_roundtrip() {
+    fn anomaly_rule_wire_names_are_the_names() {
         for rule in AnomalyRule::all() {
-            assert_eq!(AnomalyRule::from_name(rule.name()), Some(rule));
+            assert_eq!(rule.to_value(), Value::String(rule.name().into()));
+            assert_eq!(AnomalyRule::from_value(&rule.to_value()), Ok(rule));
         }
-        assert_eq!(AnomalyRule::from_name("nope"), None);
+        assert!(AnomalyRule::from_value(&Value::String("nope".into())).is_err());
     }
 }

@@ -3,9 +3,10 @@
 //!
 //! # Design
 //!
-//! * **Dependency-free.** The collector must never perturb the build
-//!   graph — or the math — of the code it observes, and the `fedobs`
-//!   reader must build in the default workspace configuration.
+//! * **Outside the math.** The collector never perturbs the math of the
+//!   code it observes, and the `fedobs` reader builds in the default
+//!   workspace configuration. The one dependency is the vendored serde
+//!   shim pair, the workspace's JSON codec, which touches no numeric path.
 //! * **Feature-gated to zero.** Without the `enabled` cargo feature the
 //!   [`span!`], [`counter!`], [`gauge!`], and [`histogram!`] macros
 //!   expand to a never-invoked closure (so attribute expressions stay

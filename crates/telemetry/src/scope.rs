@@ -12,8 +12,8 @@
 //!   it raises anomalies (per rule) that the baseline did not, which is
 //!   what CI gates on.
 //!
-//! Like the rest of the crate this module is dependency-free and pure:
-//! it never touches the collector, so it builds and runs identically in
+//! Like the rest of the crate's readers this module is pure: it never
+//! touches the collector, so it builds and runs identically in
 //! the default (telemetry-disabled) workspace configuration.
 
 use crate::event::{AnomalyRule, Event};

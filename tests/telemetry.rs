@@ -20,6 +20,7 @@ use fedprox::data::Dataset;
 use fedprox::models::MultinomialLogistic;
 use fedprox::prelude::*;
 use fedprox_telemetry::event::Event;
+use fedprox_telemetry::summary::TelemetryReport;
 use fedprox_telemetry::{collector, jsonl};
 
 /// The collector is process-global; these tests arm/reset/drain it, so
@@ -52,11 +53,15 @@ fn cfg(runner: RunnerKind) -> FedConfig {
 
 /// Arm the collector, run one training job, and return (history, events).
 fn traced_run(runner: RunnerKind) -> (History, Vec<Event>) {
+    traced(cfg(runner))
+}
+
+fn traced(cfg: FedConfig) -> (History, Vec<Event>) {
     let (devices, test) = federation(9);
     let model = MultinomialLogistic::new(60, 10);
     collector::reset();
     collector::arm();
-    let h = FederatedTrainer::new(&model, &devices, &test, cfg(runner)).run().expect("run");
+    let h = FederatedTrainer::new(&model, &devices, &test, cfg).run().expect("run");
     let events = collector::drain();
     collector::disarm();
     (h, events)
@@ -130,6 +135,29 @@ fn parallel_and_sequential_runs_count_identically() {
     // the parallel span tree is the sequential one, path for path.
     assert_eq!(path_counts(&seq), path_counts(&par), "span tree differs across runners");
     assert!(path_counts(&par).iter().any(|(p, _)| p == "round/evaluate/softmax"));
+}
+
+#[test]
+fn every_backend_reports_its_true_round_count() {
+    let _guard = COLLECTOR_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // Device 1 crashes at round 3 and the quorum wants all three
+    // devices, so the event-driven run skips rounds 3 and 4.
+    let quorum = Resilience::with_plan(FaultPlan::new().crash(1, 3))
+        .with_quorum(QuorumPolicy { min_responders: 3, ..QuorumPolicy::default() });
+    let skipping =
+        cfg(RunnerKind::EventDriven(SimRunnerOptions::default())).with_resilience(quorum);
+    let backends = [
+        cfg(RunnerKind::Sequential),
+        cfg(RunnerKind::Parallel),
+        skipping,
+        cfg(RunnerKind::Network(NetRunnerOptions::default())),
+    ];
+    for (i, c) in backends.into_iter().enumerate() {
+        let (h, events) = traced(c);
+        assert_eq!(h.rounds_run, ROUNDS, "backend {i}");
+        assert_eq!(h.participation.iter().filter(|r| r.skipped).count(), if i == 2 { 2 } else { 0 });
+        assert_eq!(TelemetryReport::from_events(&events).rounds, ROUNDS as u64, "backend {i}");
+    }
 }
 
 /// Every recorded span-tree path with its activation count, in drain
