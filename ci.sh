@@ -201,9 +201,11 @@ echo "==> fedobs-smoke (faulted --obs run -> postmortem blame -> ledger self-dif
 # device legs. Device 28563 is sampled in round 1 only (seed 29), so
 # crashing it exercises stable-id fault addressing on compact
 # participation records: the crash must still be counted although the
-# final round never samples the device. Reuses the telemetry-enabled
-# bench build.
-echo "==> fedsim-smoke (two same-seed 100k-device sampled runs -> alloc bound + ledger diff)"
+# final round never samples the device. The lazy rounds fan out on the
+# same pool as fig2's, so the two profiles' deterministic columns
+# (activation counts, alloc bytes/calls) must match exactly as in
+# prof-smoke. Reuses the telemetry-enabled bench build.
+echo "==> fedsim-smoke (two same-seed 100k-device sampled runs -> alloc bound + ledger diff + zero-delta agg)"
 grep -q '"expect": {"crashed": 1, "sampled": 32, "max_round_alloc_mib": 64}' specs/fedsim.small.json \
     || { echo "fedsim-smoke: the spec no longer expects crashed 1, sampled 32, <= 64 MiB"; exit 1; }
 ./target/release/fedrun specs/fedsim.small.json --obs "$PERF_TMP/sim_a.jsonl" >/dev/null
@@ -212,6 +214,8 @@ grep -q '"expect": {"crashed": 1, "sampled": 32, "max_round_alloc_mib": 64}' spe
     | grep -q "^identical" \
     || { echo "fedsim-smoke: same-seed sampled-run ledgers differ"; exit 1; }
 ./target/release/fedobs critpath "$PERF_TMP/sim_a.jsonl" >/dev/null
+./target/release/fedobs prof agg "$PERF_TMP/sim_a.jsonl" "$PERF_TMP/sim_b.jsonl" \
+    --check-deterministic >/dev/null
 
 # examples: every example under examples/ runs in --release and must
 # exit 0; quickstart runs once more with the instrumentation compiled

@@ -94,7 +94,7 @@ pub fn run<M: LossModel>(
     let n = population.len();
     let dim = w0.len();
     let sampler = match timing {
-        Some(o) => Sampler::new(o.sampler),
+        Some(o) => Sampler::try_new(o.sampler)?,
         None => Sampler::participation(cfg.participation, n),
     };
     let parallel = timing.is_some() || matches!(cfg.runner, RunnerKind::Parallel);

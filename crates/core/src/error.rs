@@ -9,7 +9,7 @@ use fedprox_net::NetError;
 use std::fmt;
 
 /// Why a federated run (or a single local update) could not proceed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FedError {
     /// An FSVRG local update was requested without the
     /// server-distributed global gradient `∇F̄(w̄)` it anchors on.
@@ -56,6 +56,12 @@ pub enum FedError {
         /// How many devices the federation has.
         devices: usize,
     },
+    /// A Bernoulli sampler's activation probability is outside (0, 1]
+    /// (or NaN): no round could weight its participants by 1/p.
+    InvalidBernoulli {
+        /// The refused probability.
+        p: f64,
+    },
 }
 
 impl fmt::Display for FedError {
@@ -86,6 +92,9 @@ impl fmt::Display for FedError {
             FedError::UnknownDevice { index, devices } => {
                 write!(f, "device index {index} is out of range for {devices} devices")
             }
+            FedError::InvalidBernoulli { p } => {
+                write!(f, "Bernoulli activation probability {p} is not in (0, 1]")
+            }
         }
     }
 }
@@ -101,7 +110,8 @@ impl std::error::Error for FedError {
             | FedError::EventDrivenGlobalGradient
             | FedError::NetworkPartialParticipation
             | FedError::NetworkGlobalGradient
-            | FedError::UnknownDevice { .. } => None,
+            | FedError::UnknownDevice { .. }
+            | FedError::InvalidBernoulli { .. } => None,
         }
     }
 }

@@ -2,14 +2,16 @@
 //!
 //! Devices within a round are independent (Algorithm 1 runs them "in
 //! parallel"), so the parallel backend is a straight `par_iter` over
-//! devices ([`fan_out`]): the rayon shim splits them into static
-//! contiguous partitions, one per available core, and returns the
-//! updates in device order. This is the workspace's only level of
-//! parallelism; the kernels and batch reductions below it run on the
-//! device's thread. Because each device draws from its own
-//! `(seed, round, id)` RNG stream, the parallel backend produces
-//! *bit-identical* results to the sequential one (the tests below plant
-//! a thread-dependent model to show the comparison can fail).
+//! devices ([`fan_out`]): the rayon shim's persistent pool, one thread
+//! per available core, hands each device to whichever thread is free
+//! next, and returns the updates in device order. This is the
+//! workspace's only level of parallelism; the kernels and batch
+//! reductions below it run on the device's thread. Because each device
+//! draws from its own `(seed, round, id)` RNG stream and its thread's
+//! solve scratch is reuse-invisible, the parallel backend produces
+//! *bit-identical* results to the sequential one whichever thread runs
+//! which device (the tests below plant a thread-dependent model to show
+//! the comparison can fail, and check a whole run on several threads).
 //!
 //! Every backend returns `Result`: driving FSVRG without its
 //! server-distributed anchor gradient
@@ -25,8 +27,8 @@ use fedprox_telemetry::SpanPath;
 use rayon::prelude::*;
 
 /// Map `f` over `items` across the device fan-out, collecting the
-/// results in input order. Worker threads nest their telemetry spans
-/// under the caller's open span path.
+/// results in input order. Every item nests its telemetry spans under
+/// the caller's open span path, whichever thread runs it.
 pub fn fan_out<'a, T, R, C, F>(items: &'a [T], f: F) -> C
 where
     T: Sync,
@@ -145,24 +147,107 @@ mod tests {
         }
     }
 
+    /// Fan-outs that meet a busy pool (another test fanning out at the
+    /// same moment) run inline on the caller, so a check that needs a
+    /// worker retries until one took part.
+    const ATTEMPTS: usize = 50;
+
     #[test]
     fn backend_comparison_catches_a_thread_dependent_model() {
-        let threads = rayon::current_num_threads();
-        if threads < 2 {
+        if rayon::current_num_threads() < 2 {
             eprintln!("single-threaded host: Parallel cannot differ from Sequential; skipping");
             return;
         }
         let (devices, inner) = small_federation();
         let model = ThreadBiased { inner, home: std::thread::current().id() };
-        let at = first_backend_mismatch(&model, &devices);
-        // The caller runs the first partition itself, so the mismatch
-        // shows on the first device of the second partition.
-        let first_on_worker = devices.len().div_ceil(threads.min(devices.len()));
-        assert_eq!(
-            at,
-            Some(format!("round 0, device {first_on_worker}")),
-            "comparison missed the planted bias"
-        );
+        let at = (0..ATTEMPTS).find_map(|_| first_backend_mismatch(&model, &devices));
+        // The caller runs item 0 and the first worker always starts on
+        // item 1, so the bias shows on device 1 of the first round that
+        // reached the pool.
+        let at = at.expect("comparison missed the planted bias");
+        assert!(at.ends_with(", device 1"), "first mismatch at {at}, expected device 1");
+    }
+
+    /// A model that notes every thread taking a mini-batch gradient step,
+    /// which only local solves do (evaluation passes whole shards).
+    struct ThreadRecording {
+        inner: MultinomialLogistic,
+        threads: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+    }
+
+    impl LossModel for ThreadRecording {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+        fn init_params(&self, seed: u64) -> Vec<f64> {
+            self.inner.init_params(seed)
+        }
+        fn sample_loss(&self, w: &[f64], data: &Dataset, i: usize) -> f64 {
+            self.inner.sample_loss(w, data, i)
+        }
+        fn sample_grad_accum(&self, w: &[f64], data: &Dataset, i: usize, scale: f64, out: &mut [f64]) {
+            self.inner.sample_grad_accum(w, data, i, scale, out);
+        }
+        fn batch_grad_in(
+            &self,
+            w: &[f64],
+            data: &Dataset,
+            indices: &[usize],
+            out: &mut [f64],
+            scratch: &mut fedprox_models::GradScratch,
+        ) {
+            if indices.len() < data.len() {
+                self.threads.lock().expect("thread set").insert(std::thread::current().id());
+            }
+            self.inner.batch_grad_in(w, data, indices, out, scratch);
+        }
+        fn predict(&self, w: &[f64], x: &[f64]) -> f64 {
+            self.inner.predict(w, x)
+        }
+    }
+
+    #[test]
+    fn parallel_run_is_the_sequential_history_on_several_threads() {
+        use crate::algorithm::FederatedTrainer;
+        use crate::config::RunnerKind;
+        let shards = generate(&SyntheticConfig { seed: 5, ..Default::default() }, &[30, 50, 20, 40]);
+        let (train, test) = fedprox_data::split::split_federation(&shards, 5);
+        let devices: Vec<Device> =
+            train.into_iter().enumerate().map(|(i, s)| Device::new(i, s)).collect();
+        let cfg = FedConfig::new(Algorithm::FedProxVr(EstimatorKind::Svrg))
+            .with_tau(6)
+            .with_batch_size(4)
+            .with_rounds(6)
+            .with_seed(13);
+        let run = |runner: RunnerKind| {
+            let model = ThreadRecording {
+                inner: MultinomialLogistic::new(60, 10),
+                threads: Default::default(),
+            };
+            let h = FederatedTrainer::new(&model, &devices, &test, cfg.clone().with_runner(runner))
+                .run()
+                .expect("run");
+            let fingerprint = (
+                serde_json::to_string(&h.records).expect("records"),
+                h.final_model.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                h.rounds_run,
+                h.divergence,
+            );
+            (fingerprint, model.threads.into_inner().expect("thread set").len())
+        };
+        let (seq, seq_threads) = run(RunnerKind::Sequential);
+        assert_eq!(seq_threads, 1, "sequential solves run on the calling thread");
+        let want = if rayon::current_num_threads() < 2 { 1 } else { 2 };
+        let mut most = 0;
+        for _ in 0..ATTEMPTS {
+            let (par, par_threads) = run(RunnerKind::Parallel);
+            assert!(par == seq, "Parallel History differs from Sequential");
+            most = most.max(par_threads);
+            if most >= want {
+                break;
+            }
+        }
+        assert!(most >= want, "parallel solves ran on {most} thread(s), expected {want}");
     }
 
     #[test]

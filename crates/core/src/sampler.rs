@@ -21,6 +21,7 @@
 //! selection is identical across shard counts and backends.
 
 use crate::config::SamplerSpec;
+use crate::error::FedError;
 use fedprox_faults::stream_rng;
 use rand::Rng;
 use std::cmp::Ordering;
@@ -42,12 +43,23 @@ pub struct Sampler {
 }
 
 impl Sampler {
-    /// Wrap a [`SamplerSpec`].
+    /// Wrap a [`SamplerSpec`] known to be valid; panics where
+    /// [`Sampler::try_new`] would refuse it. The round driver builds its
+    /// sampler with `try_new` instead.
     pub fn new(spec: SamplerSpec) -> Self {
-        if let SamplerSpec::Bernoulli(p) = spec {
-            assert!(p > 0.0 && p <= 1.0, "Bernoulli activation must be in (0, 1]");
-        }
+        assert!(Self::try_new(spec).is_ok(), "Bernoulli activation must be in (0, 1]");
         Sampler { spec, draw_all: false }
+    }
+
+    /// Wrap a [`SamplerSpec`], refusing a Bernoulli probability outside
+    /// (0, 1] or NaN with [`FedError::InvalidBernoulli`].
+    pub fn try_new(spec: SamplerSpec) -> Result<Self, FedError> {
+        match spec {
+            SamplerSpec::Bernoulli(p) if !(p > 0.0 && p <= 1.0) => {
+                Err(FedError::InvalidBernoulli { p })
+            }
+            _ => Ok(Sampler { spec, draw_all: false }),
+        }
     }
 
     /// The in-process backends' participation fraction `p` over `n`
@@ -282,8 +294,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "in (0, 1]")]
     fn zero_activation_rejected() {
-        let _ = Sampler::new(SamplerSpec::Bernoulli(0.0));
+        for p in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
+            match Sampler::try_new(SamplerSpec::Bernoulli(p)) {
+                Err(FedError::InvalidBernoulli { p: got }) => {
+                    assert_eq!(got.to_bits(), p.to_bits())
+                }
+                other => panic!("p = {p}: expected InvalidBernoulli, got {other:?}"),
+            }
+        }
+        let one = Sampler::try_new(SamplerSpec::Bernoulli(1.0));
+        assert_eq!(one, Ok(Sampler::new(SamplerSpec::Bernoulli(1.0))));
+        assert!(std::panic::catch_unwind(|| Sampler::new(SamplerSpec::Bernoulli(0.0))).is_err());
     }
 }

@@ -217,6 +217,9 @@ pub trait LossModel: Send + Sync {
         // Take the index buffer out so `scratch` can be passed down.
         let mut idx = std::mem::take(&mut scratch.all_indices);
         idx.clear();
+        // Grows to the largest shard this thread has met: schedule-
+        // dependent, so kept out of span alloc columns.
+        fedprox_telemetry::untracked(|| idx.reserve(data.len()));
         idx.extend(0..data.len());
         self.batch_grad_in(w, data, &idx, out, scratch);
         scratch.all_indices = idx;

@@ -163,7 +163,10 @@ impl LocalSolver {
         // variance-reduced kinds this is the full gradient the paper
         // prescribes; for plain SGD (FedAvg baseline) the first step uses
         // a mini-batch like every other step.
-        scratch.batch.resize(cfg.batch_size.min(data.len()), 0);
+        // Grows to the largest batch this thread has met (shards smaller
+        // than the batch size shrink it): kept out of span alloc columns.
+        let batch = cfg.batch_size.min(data.len());
+        fedprox_telemetry::untracked(|| scratch.batch.resize(batch, 0));
         if anchor_grad.is_none() && cfg.kind == EstimatorKind::Sgd {
             sample_batch(rng, data.len(), &mut scratch.batch, &mut scratch.pool);
         }
@@ -271,6 +274,9 @@ fn sample_batch<R: Rng>(rng: &mut R, n: usize, batch: &mut [usize], pool: &mut V
         }
     } else {
         pool.clear();
+        // Grows to the largest shard this thread has met: schedule-
+        // dependent, so kept out of span alloc columns.
+        fedprox_telemetry::untracked(|| pool.reserve(n));
         pool.extend(0..n);
         pool.shuffle(rng);
         batch.copy_from_slice(&pool[..batch.len()]);

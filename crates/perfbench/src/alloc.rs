@@ -9,10 +9,11 @@
 //! ([`stats`]) see every thread, which is what a whole-round budget
 //! (a fedrun spec's `expect.max_round_alloc_mib`, fedbench) wants. The per-thread
 //! totals ([`thread_stats`]) see only the calling thread: the vendored
-//! rayon shim's `par_iter` runs device solves on worker threads, so a
-//! span's process-wide delta would pick up whatever the other threads
-//! allocated meanwhile, while its per-thread delta is exactly its own
-//! work. The telemetry probe therefore reads the per-thread counters.
+//! rayon shim's `par_iter` runs device solves on its pool's worker
+//! threads, so a span's process-wide delta would pick up whatever the
+//! other threads allocated meanwhile, while its per-thread delta is
+//! exactly its own work. The telemetry probe therefore reads the
+//! per-thread counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

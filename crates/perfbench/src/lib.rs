@@ -11,10 +11,11 @@
 //!   global allocator is wrapped in a byte/call counter, so each entry
 //!   reports `bytes_per_iter`/`allocs_per_iter` alongside `ns_per_iter`.
 //!   The vendored rayon shim's only threaded entry point (`par_iter`)
-//!   joins its workers before returning, so a measured window holds
-//!   whole fan-outs and the counts are exact and reproducible — they are
-//!   the primary regression signal (wall time is machine-dependent,
-//!   allocation traffic is not).
+//!   returns only after every item has run, on a pool whose workers
+//!   start once per process, so a measured window holds whole fan-outs
+//!   and the counts are exact and reproducible — they are the primary
+//!   regression signal (wall time is machine-dependent, allocation
+//!   traffic is not).
 //! * **Schema'd output.** Reports serialize as `BENCH_<name>.json` with
 //!   `schema: "fedperf/v1"`; [`report::validate`] checks the shape and
 //!   [`report::gate`] implements the `--baseline old.json --gate 1.25`

@@ -185,6 +185,20 @@ mod tests {
     }
 
     #[test]
+    fn invalid_bernoulli_sampler_is_a_typed_error_before_round_one() {
+        let model = MultinomialLogistic::new(60, 10);
+        for p in [0.0, 1.5, f64::NAN] {
+            let pop = Population::Lazy(lazy_population(10, 1));
+            let mut rounds = 0;
+            let err = SimEngine::new(&model, pop, None, cfg(SamplerSpec::Bernoulli(p), 1))
+                .run_with(|_| rounds += 1)
+                .expect_err("an invalid activation probability must be refused");
+            assert!(matches!(err, FedError::InvalidBernoulli { .. }), "p = {p}: {err:?}");
+            assert_eq!(rounds, 0, "p = {p}: refused after a round ran");
+        }
+    }
+
+    #[test]
     fn empty_population_is_rejected() {
         let model = MultinomialLogistic::new(60, 10);
         let cfg = FedConfig::new(Algorithm::FedAvg).with_seed(1);

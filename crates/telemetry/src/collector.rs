@@ -27,19 +27,24 @@
 //! allocator columns describe the instrumented program, not the
 //! instrumentation. The probe reads the calling thread's counters, so a
 //! span on a fan-out worker thread is charged only its own thread's
-//! allocations, and the columns stay bitwise-reproducible as long as
-//! each thread's work is (the rayon shim's static partitions keep it
-//! so).
+//! allocations.
 //!
-//! A worker thread starts with an empty scope stack. A fan-out hands it
-//! the caller's open path instead: [`crate::SpanPath::capture`] on the
-//! caller, [`crate::SpanPath::enter`] around each item on the worker,
-//! which prefixes the worker's span paths with it, so a device solve
-//! records as `round/device_update` on every thread. The prefix carries
-//! names only: a worker's span time is not credited to the caller's
-//! child accumulators, because it ran on another thread in parallel
-//! with the caller, so the caller's self time still includes its wait
-//! for the workers.
+//! A fan-out hands each item the caller's open path:
+//! [`crate::SpanPath::capture`] on the caller, [`crate::SpanPath::enter`]
+//! around each item on whichever thread runs it, which prefixes the
+//! item's span paths with it, so a device solve records as
+//! `round/device_update` on every thread. The fan-out pool decides at
+//! run time which thread runs which item, so an item must record the
+//! same on all of them: `enter` sets aside any scopes the running
+//! thread has open (the caller's own, when it runs an item itself) and
+//! nets the item's allocation out of them. An item's time and bytes
+//! are therefore never credited to the caller's spans: the caller's
+//! self time includes the items it ran and its wait for the workers,
+//! and its alloc columns hold only what it allocated outside items,
+//! which is the same on every run. Thread-local caches that grow to
+//! the largest item a thread has met grow a schedule-dependent number
+//! of times; they grow inside [`crate::untracked`], so the alloc
+//! columns leave that growth out.
 //!
 //! This module is the only place outside `crates/net/src/clock.rs` where
 //! wall-clock time may be read (fedlint rule `no-wall-clock`): wall
@@ -149,7 +154,7 @@ thread_local! {
 
 /// Run `f`, crediting any allocation it performs (as seen by the probe)
 /// to the excluded ledger. Only the outermost nested scope measures.
-fn excluded<R>(f: impl FnOnce() -> R) -> R {
+pub(crate) fn excluded<R>(f: impl FnOnce() -> R) -> R {
     let outer = EXCLUDED.with(|e| {
         let d = e.depth.get();
         e.depth.set(d + 1);
@@ -186,23 +191,49 @@ pub(crate) fn open_path() -> String {
     path
 }
 
-/// Run `f` with `prefix` (from [`open_path`] on the fanning-out thread)
-/// as this thread's path prefix. A thread that already has a path (the
-/// caller running its own share of the fan-out) keeps it.
+/// Run `f`, one fan-out item, under `prefix` (from [`open_path`] on the
+/// fanning-out thread). The item records the same wherever it runs: its
+/// spans nest under `prefix`, and nothing it does is charged to spans
+/// this thread already has open. A worker has none; a thread with its
+/// own open path (the caller running items of its own fan-out, or a
+/// nested fan-out run inline) sets its scope stack aside for `f` and
+/// adds `f`'s allocation to the excluded ledger, which nets it out of
+/// every frame the stack holds.
 pub(crate) fn with_prefix<R>(prefix: &str, f: impl FnOnce() -> R) -> R {
-    let has_path =
-        STACK.with(|s| !s.borrow().is_empty()) || ADOPTED.with(|a| !a.borrow().is_empty());
-    if prefix.is_empty() || has_path {
+    if prefix.is_empty() {
         return f();
     }
-    struct Clear;
-    impl Drop for Clear {
+    /// The thread's own path, put back when the item ends (or unwinds).
+    struct Restore {
+        stack: Vec<Frame>,
+        adopted: String,
+        probe: (u64, u64),
+        excl: (u64, u64),
+    }
+    impl Drop for Restore {
         fn drop(&mut self) {
-            ADOPTED.with(|a| a.borrow_mut().clear());
+            let (bytes, calls) = alloc_now();
+            let (excl_bytes, excl_calls) = excluded_totals();
+            let item_bytes =
+                bytes.saturating_sub(self.probe.0).saturating_sub(excl_bytes.saturating_sub(self.excl.0));
+            let item_calls =
+                calls.saturating_sub(self.probe.1).saturating_sub(excl_calls.saturating_sub(self.excl.1));
+            excluded(|| {
+                STACK.with(|s| *s.borrow_mut() = std::mem::take(&mut self.stack));
+                ADOPTED.with(|a| *a.borrow_mut() = std::mem::take(&mut self.adopted));
+            });
+            EXCLUDED.with(|e| {
+                e.bytes.set(e.bytes.get().saturating_add(item_bytes));
+                e.calls.set(e.calls.get().saturating_add(item_calls));
+            });
         }
     }
-    excluded(|| ADOPTED.with(|a| a.borrow_mut().push_str(prefix)));
-    let _clear = Clear;
+    let (stack, adopted) = excluded(|| {
+        let stack = STACK.with(|s| std::mem::take(&mut *s.borrow_mut()));
+        let adopted = ADOPTED.with(|a| std::mem::replace(&mut *a.borrow_mut(), prefix.to_string()));
+        (stack, adopted)
+    });
+    let _restore = Restore { stack, adopted, probe: alloc_now(), excl: excluded_totals() };
     f()
 }
 
@@ -890,6 +921,59 @@ pub(crate) mod tests {
         assert_eq!(path_count("round/round/device_update"), 0);
         disarm();
         reset();
+    }
+
+    #[test]
+    fn an_item_run_by_the_caller_records_as_on_a_worker() {
+        let _g = guard();
+        static FAKE: AtomicUsize = AtomicUsize::new(0);
+        fn probe() -> (u64, u64) {
+            let v = FAKE.load(Ordering::Relaxed) as u64;
+            (v * 100, v)
+        }
+        install_alloc_probe(probe);
+        arm();
+        {
+            let _outer = SpanGuard::begin("core", "round", &[]);
+            FAKE.fetch_add(1, Ordering::Relaxed); // 100 B to round self
+            let path = crate::SpanPath::capture();
+            // The caller runs an item of its own fan-out: allocation
+            // inside and outside the item's span, and a panic out of it.
+            path.enter(|| {
+                FAKE.fetch_add(2, Ordering::Relaxed);
+                let _w = SpanGuard::begin("core", "device_update", &[]);
+                FAKE.fetch_add(3, Ordering::Relaxed); // 300 B to the item span
+            });
+            let unwound = std::panic::catch_unwind(|| {
+                path.enter(|| {
+                    FAKE.fetch_add(4, Ordering::Relaxed);
+                    panic!("item failed")
+                })
+            });
+            assert!(unwound.is_err());
+            // The caller's scope stack is back: this nests under round.
+            let _after = SpanGuard::begin("core", "aggregate", &[]);
+        }
+        let events = drain();
+        disarm();
+        ALLOC_PROBE.store(0, Ordering::SeqCst);
+        let get = |which: &str| {
+            events
+                .iter()
+                .find_map(|e| match e {
+                    Event::PathStat { path, count, total_bytes, self_bytes, .. }
+                        if path == which =>
+                    {
+                        Some((*count, *total_bytes, *self_bytes))
+                    }
+                    _ => None,
+                })
+                .unwrap_or_else(|| panic!("path {which} missing"))
+        };
+        assert_eq!(get("round/device_update"), (1, 300, 300));
+        assert_eq!(get("round/aggregate"), (1, 0, 0));
+        // Nothing the items allocated reaches round, as on a worker.
+        assert_eq!(get("round"), (1, 100, 100));
     }
 
     #[test]

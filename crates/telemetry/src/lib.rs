@@ -77,6 +77,23 @@ impl SpanPath {
     }
 }
 
+/// Run `f` with its allocations left out of every span's alloc columns.
+/// For growing a thread-local cache that keeps the largest size its
+/// thread has needed: how often it grows depends on which fan-out items
+/// that thread happened to run, not on the work, so counting the growth
+/// would make the columns differ between same-seed runs. Process-wide
+/// allocation counters still see it. Without the `enabled` feature it
+/// just calls `f`.
+#[inline]
+pub fn untracked<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(feature = "enabled")]
+    {
+        collector::excluded(f)
+    }
+    #[cfg(not(feature = "enabled"))]
+    f()
+}
+
 /// Lossless-enough conversion of attribute values to `f64` for span
 /// attributes and histogram samples (dimensions and counts comfortably
 /// fit; beyond 2⁵³ precision loss is acceptable for telemetry).

@@ -221,8 +221,10 @@ pub fn pack_a<S: GemmSource>(
     let needed = panels * kb * MR;
     // Grow-only: slack beyond `needed` (left by a larger earlier block)
     // is never read, so no per-call memset of the whole buffer.
+    // Growth depends on the largest block this thread has packed, so it
+    // is kept out of span alloc columns.
     if buf.len() < needed {
-        buf.resize(needed, 0.0);
+        fedprox_telemetry::untracked(|| buf.resize(needed, 0.0));
     }
     let dense_rows = a.row_slice(i0, p0, kb).is_some();
     for panel in 0..panels {
@@ -278,7 +280,7 @@ pub fn pack_b<S: GemmSource>(
     let total = if dense_rows { needed } else { needed + nb };
     // Grow-only; see pack_a for the padding rationale.
     if buf.len() < total {
-        buf.resize(total, 0.0);
+        fedprox_telemetry::untracked(|| buf.resize(total, 0.0));
     }
     let (dst, scratch) = buf.split_at_mut(needed);
     if !nb.is_multiple_of(NR) {
